@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .errors import CodecError
 from .terms import Compound, Const, Signature, Term, Var, validate_signature
-from .tuples import from_tuple, to_tuple
+from .tuples import _merge, _split
 
 
 @lru_cache(maxsize=None)
@@ -28,14 +28,28 @@ def _index_maps(sig: Signature):
     return var_ix, const_ix, fun_ix
 
 
+@lru_cache(maxsize=None)
+def _leaves(sig: Signature) -> tuple[Term, ...]:
+    """The node of every leaf code, shared by all terms decoded under sig."""
+    _index_maps(sig)
+    return tuple(Var(v) for v in sig.vars) + tuple(Const(c) for c in sig.consts)
+
+
 def term2nat(sig: Signature, t: Term) -> int:
     """Encode a term whose symbols all occur in the signature."""
     var_ix, const_ix, fun_ix = _index_maps(sig)
     lv, lvc, lf = sig.lv, sig.lvc, sig.lf
-    codes: list[int] = []
-    work: list[tuple[Term, bool]] = [(t, False)]
+    # Preorder that visits the last argument first: reversed, it lists every
+    # compound right after its arguments, which come first to last.
+    order: list[Term] = []
+    work = [t]
     while work:
-        node, ready = work.pop()
+        node = work.pop()
+        order.append(node)
+        if isinstance(node, Compound):
+            work.extend(node.args)
+    codes: list[int] = []
+    for node in reversed(order):
         if isinstance(node, Var):
             i = var_ix.get(node.name)
             if i is None:
@@ -47,20 +61,18 @@ def term2nat(sig: Signature, t: Term) -> int:
                 raise CodecError(f"term2nat: constant {node.symbol!r} is not in the signature")
             codes.append(lv + i)
         elif isinstance(node, Compound):
-            if not ready:
-                work.append((node, True))
-                for arg in reversed(node.args):
-                    work.append((arg, False))
+            k = len(node.args)
+            label = fun_ix.get((node.functor, k))
+            if label is None:
+                raise CodecError(
+                    f"term2nat: functor {node.functor}/{k} is not in the signature"
+                )
+            if k == 1:
+                codes[-1] = lvc + lf * codes[-1] + label
             else:
-                k = len(node.args)
-                label = fun_ix.get((node.functor, k))
-                if label is None:
-                    raise CodecError(
-                        f"term2nat: functor {node.functor}/{k} is not in the signature"
-                    )
-                args = codes[-k:]
+                payload = _merge(codes[-k:])
                 del codes[-k:]
-                codes.append(lvc + lf * from_tuple(args) + label)
+                codes.append(lvc + lf * payload + label)
         else:
             raise CodecError(f"term2nat: not a term: {node!r}")
     return codes[0]
@@ -69,39 +81,48 @@ def term2nat(sig: Signature, t: Term) -> int:
 def nat2term(sig: Signature, n: int) -> Term:
     """Decode any natural to a term; inverse of term2nat.
 
-    Uses an explicit work stack: a signature with a unary functor yields
+    Uses explicit work lists: a signature with a unary functor yields
     nesting depth proportional to the code's bitsize.
     """
-    _index_maps(sig)
+    leaves = _leaves(sig)
     if n < 0:
         raise CodecError(f"nat2term: code must be >= 0 (got {n})")
-    lv, lvc, lf = sig.lv, sig.lvc, sig.lf
-    vars_, consts, funs = sig.vars, sig.consts, sig.funs
-    # frame: [functor or None, argument codes, decoded children]
-    frames: list[list] = [[None, (n,), []]]
-    while True:
-        functor, codes, kids = frames[-1]
-        if len(kids) == len(codes):
-            frames.pop()
-            node: Term = kids[0] if functor is None else Compound(functor, tuple(kids))
-            if not frames:
-                return node
-            frames[-1][2].append(node)
+    lvc, lf = sig.lvc, sig.lf
+    if lf == 0 and n >= lvc:
+        raise CodecError(
+            f"nat2term: code {n} requires a function symbol but the "
+            f"signature declares none (codes beyond {lvc - 1} are undecodable)"
+        )
+    funs = sig.funs
+    # Preorder of the codes as in term2nat; a compound is kept as lvc + its
+    # functor index, so every entry is a small int.
+    order: list[int] = []
+    work = [n]
+    while work:
+        c = work.pop()
+        if c < lvc:
+            order.append(c)
             continue
-        c = codes[len(kids)]
-        if c < lv:
-            kids.append(Var(vars_[c]))
-        elif c < lvc:
-            kids.append(Const(consts[c - lv]))
+        payload, label = divmod(c - lvc, lf)
+        order.append(lvc + label)
+        arity = funs[label][1]
+        if arity == 1:
+            work.append(payload)
         else:
-            if lf == 0:
-                raise CodecError(
-                    f"nat2term: code {c} requires a function symbol but the "
-                    f"signature declares none (codes beyond {lvc - 1} are undecodable)"
-                )
-            x0 = c - lvc
-            name, arity = funs[x0 % lf]
-            frames.append([name, to_tuple(arity, x0 // lf), []])
+            work.extend(_split(arity, payload))
+    nodes: list[Term] = []
+    for x in reversed(order):
+        if x < lvc:
+            nodes.append(leaves[x])
+            continue
+        name, arity = funs[x - lvc]
+        if arity == 1:
+            nodes[-1] = Compound(name, (nodes[-1],))
+        else:
+            args = tuple(nodes[-arity:])
+            del nodes[-arity:]
+            nodes.append(Compound(name, args))
+    return nodes[0]
 
 
 def ranterm(sig: Signature, bits: int, rng: random.Random) -> Term:

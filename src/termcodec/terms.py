@@ -40,71 +40,78 @@ Term = Var | Const | Compound
 VAR_NAME = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
 SYMBOL_NAME = re.compile(r"[a-z][a-z0-9_]*\Z")
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<VAR>[A-Z][A-Za-z0-9_]*)"
-    r"|(?P<NAME>[a-z][a-z0-9_]*)"
-    r"|(?P<INT>[0-9]+)"
-    r"|(?P<LPAR>\()|(?P<COMMA>,)|(?P<RPAR>\)))"
-)
+# One token per match; the last alternative takes any other non-space
+# character, which is never a valid token.
+_TOKEN = re.compile(r"[A-Z][A-Za-z0-9_]*|[a-z][a-z0-9_]*|[0-9]+|[(),]|\S")
+_TOKEN_STARTS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789(),")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.lastgroup is None:
-            at = pos + len(text[pos:]) - len(text[pos:].lstrip())
-            if at >= len(text):
-                break
-            raise ParseError(f"unexpected character {text[at]!r}", at)
-        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
-    tokens.append(("END", "", len(text)))
-    return tokens
+def _parse_error(text: str, index: int, message: str) -> ParseError:
+    """The error at token index of text (its end when index is past the
+    last token), unless text holds an unknown character: the first of those
+    is reported instead, wherever it is."""
+    position = len(text)
+    for j, m in enumerate(_TOKEN.finditer(text)):
+        if m.group()[0] not in _TOKEN_STARTS:
+            return ParseError(f"unexpected character {m.group()!r}", m.start())
+        if j == index:
+            position = m.start()
+    return ParseError(message, position)
+
+
+def _found(token: str) -> str:
+    return repr(token) if token else "end of input"
 
 
 def parse_term(text: str) -> Term:
-    """Parse term text; raises ParseError with the offending position."""
-    tokens = _tokenize(text)
-    i = 0
+    """Parse term text; raises ParseError with the offending position.
+
+    Equal leaves of the result are one shared node.
+    """
+    tokens = _TOKEN.findall(text)
+    tokens += ("", "")  # end of input, and one more to look ahead from it
+    leaves: dict[str, Term] = {}
     frames: list[tuple[str, list[Term]]] = []
+    i = 0
     while True:
-        kind, value, pos = tokens[i]
-        if kind == "VAR":
-            node: Term = Var(value)
+        token = tokens[i]
+        i += 1
+        if tokens[i] == "(" and "a" <= token[:1] <= "z":
+            frames.append((token, []))
             i += 1
-        elif kind == "INT":
-            node = Const(int(value))
-            i += 1
-        elif kind == "NAME":
-            if tokens[i + 1][0] == "LPAR":
-                frames.append((value, []))
-                i += 2
-                continue
-            node = Const(value)
-            i += 1
-        else:
-            what = "end of input" if kind == "END" else repr(value)
-            raise ParseError(f"expected a term, found {what}", pos)
+            continue
+        node = leaves.get(token)
+        if node is None:
+            first = token[:1]
+            if "A" <= first <= "Z":
+                node = Var(token)
+            elif "a" <= first <= "z":
+                node = Const(token)
+            elif "0" <= first <= "9":
+                try:
+                    node = Const(int(token))
+                except ValueError as exc:  # past the interpreter's int digit limit
+                    raise _parse_error(text, i - 1, str(exc)) from None
+            else:
+                raise _parse_error(text, i - 1, f"expected a term, found {_found(token)}")
+            leaves[token] = node
         while True:
-            kind, value, pos = tokens[i]
-            if not frames:
-                if kind != "END":
-                    raise ParseError(f"unexpected {value!r} after the term", pos)
-                return node
-            if kind == "COMMA":
-                frames[-1][1].append(node)
-                i += 1
-                break
-            if kind == "RPAR":
-                functor, args = frames.pop()
-                args.append(node)
-                node = Compound(functor, tuple(args))
-                i += 1
-                continue
-            what = "end of input" if kind == "END" else repr(value)
-            raise ParseError(f"expected ',' or ')', found {what}", pos)
+            token = tokens[i]
+            if frames:
+                if token == ",":
+                    frames[-1][1].append(node)
+                    i += 1
+                    break
+                if token == ")":
+                    functor, args = frames.pop()
+                    args.append(node)
+                    node = Compound(functor, tuple(args))
+                    i += 1
+                    continue
+                raise _parse_error(text, i, f"expected ',' or ')', found {_found(token)}")
+            if token:
+                raise _parse_error(text, i, f"unexpected {token!r} after the term")
+            return node
 
 
 def print_term(t: Term) -> str:
@@ -122,7 +129,10 @@ def print_term(t: Term) -> str:
         elif isinstance(item, Var):
             parts.append(item.name)
         elif isinstance(item, Const):
-            parts.append(str(item.symbol))
+            try:
+                parts.append(str(item.symbol))
+            except ValueError as exc:  # past the interpreter's int digit limit
+                raise CodecError(f"print_term: {exc}") from None
         elif isinstance(item, Compound):
             parts.append(item.functor + "(")
             stack.append(")")

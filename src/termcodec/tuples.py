@@ -49,10 +49,8 @@ def k_inflate(k: int, n: int) -> int:
     return int(out, 2)
 
 
-def to_tuple(k: int, n: int) -> list[int]:
-    """Split n into a k-tuple; member j collects bits j, j+k, j+2k, ... of n."""
-    _check_stride("to_tuple", k)
-    _check_nat("to_tuple", n)
+def _split(k: int, n: int) -> list[int]:
+    """to_tuple without its checks: k >= 1 and n >= 0 must hold."""
     if k == 1:
         return [n]
     bits = bin(n)[:1:-1]
@@ -63,13 +61,9 @@ def to_tuple(k: int, n: int) -> list[int]:
     return members
 
 
-def from_tuple(ns: list[int]) -> int:
-    """Merge a tuple back into one natural by interleaving members' bits."""
+def _merge(ns: list[int]) -> int:
+    """from_tuple without its checks: ns must be a non-empty list of naturals."""
     k = len(ns)
-    if k == 0:
-        raise CodecError("from_tuple: tuple must have at least one member")
-    for x in ns:
-        _check_nat("from_tuple", x)
     if k == 1:
         return ns[0]
     width = 0
@@ -86,6 +80,22 @@ def from_tuple(ns: list[int]) -> int:
         out[j : j + k * (len(bits) - 1) + 1 : k] = bits
     out.reverse()
     return int(out, 2)
+
+
+def to_tuple(k: int, n: int) -> list[int]:
+    """Split n into a k-tuple; member j collects bits j, j+k, j+2k, ... of n."""
+    _check_stride("to_tuple", k)
+    _check_nat("to_tuple", n)
+    return _split(k, n)
+
+
+def from_tuple(ns: list[int]) -> int:
+    """Merge a tuple back into one natural by interleaving members' bits."""
+    if len(ns) == 0:
+        raise CodecError("from_tuple: tuple must have at least one member")
+    for x in ns:
+        _check_nat("from_tuple", x)
+    return _merge(ns)
 
 
 def to_pair(n: int) -> tuple[int, int]:

@@ -106,6 +106,37 @@ def test_encode_rejects_foreign_symbols(sig_fg_a):
         term2nat(sig_fg_a, Const(42))
 
 
+@pytest.mark.parametrize(
+    "term,message",
+    [
+        (parse_term("f(a,g(Z))"), "variable Z"),
+        (parse_term("f(h(a),b)"), "functor h/1"),
+        (Compound("f", (Const("a"), Compound("g", ("a",)))), "not a term"),
+    ],
+)
+def test_encode_rejects_nested_foreign_symbols(sig_fg_ab, term, message):
+    with pytest.raises(CodecError, match=message):
+        term2nat(sig_fg_ab, term)
+
+
+def test_decoded_and_parsed_terms_share_equal_leaves(sig_fg_ab):
+    t = nat2term(sig_fg_ab, random.Random(5).getrandbits(10**5))
+    text = print_term(t)
+    parsed = parse_term(text)
+    assert parsed == t
+    for term in (t, parsed):
+        ids = {}
+        work = [term]
+        while work:
+            node = work.pop()
+            if isinstance(node, Compound):
+                work.extend(node.args)
+            else:
+                ids.setdefault(node, set()).add(id(node))
+        assert len(ids) == 4  # X, Y, a and b all occur
+        assert all(len(s) == 1 for s in ids.values())
+
+
 def test_decode_rejects_negative(sig_fg_a):
     with pytest.raises(CodecError):
         nat2term(sig_fg_a, -1)

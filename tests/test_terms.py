@@ -1,8 +1,11 @@
+import sys
+
 import pytest
 
 from termcodec import (
     Compound,
     Const,
+    CodecError,
     ParseError,
     Signature,
     SignatureError,
@@ -85,6 +88,23 @@ def test_parse_rejects_unknown_characters():
         parse_term("f(a-b)")
     with pytest.raises(ParseError):
         parse_term("f(@)")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit"
+)
+def test_int_digit_limit_is_a_codec_error():
+    "Past the interpreter's int<->str digit limit, both directions say so."
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ParseError, match=r"limit \(4300 digits\)") as exc:
+            parse_term("f(" + "1" * 5000 + ")")
+        assert exc.value.position == 2
+        with pytest.raises(CodecError, match=r"limit \(4300 digits\)"):
+            print_term(Const(10**5000))
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_uppercase_functor_rejected():
