@@ -4,6 +4,13 @@ Digit sequences are least-significant-first with surface digits in
 [0, base-1]; arithmetic uses the shifted digits 1..base, which is what makes
 the map bijective (a leading zero digit is significant, so "a" and "aa" get
 different codes where ordinary positional notation would collapse them).
+
+Base 2 is the skeleton codecs' base, and its digit sequences are as long as
+a term's skeleton, so it goes through binary strings in linear time: the
+value of digits d_0..d_{L-1} is 2^L - 1 + sum d_i 2^i, i.e. the binary
+number "1" d_{L-1} ... d_0 minus one. Other bases keep the digit loop, which
+does one bigint multiply or divide per digit (quadratic); only the short
+atom strings use them.
 """
 
 from __future__ import annotations
@@ -14,6 +21,9 @@ _A = ord("a")
 _Z = ord("z")
 ALPHABET_BASE = _Z - _A + 1
 
+_DIGIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+_CHAR_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
 
 def _check_base(op: str, base: int) -> None:
     if base < 2:
@@ -23,6 +33,13 @@ def _check_base(op: str, base: int) -> None:
 def from_bbase(base: int, digits: list[int]) -> int:
     """Value of a least-significant-first digit sequence in bijective base-k."""
     _check_base("from_bbase", base)
+    if base == 2 and isinstance(digits, (list, tuple)):
+        try:
+            raw = bytes(digits)
+        except (TypeError, ValueError):  # a digit outside [0, 255] or not an int
+            raw = None
+        if raw is not None and not raw.translate(None, b"\x00\x01"):
+            return int(b"1" + raw[::-1].translate(_DIGIT_CHARS), 2) - 1
     r = 0
     for d in reversed(digits):
         if not 0 <= d < base:
@@ -36,6 +53,8 @@ def to_bbase(base: int, n: int) -> list[int]:
     _check_base("to_bbase", base)
     if n < 0:
         raise CodecError(f"to_bbase: argument must be >= 0 (got {n})")
+    if base == 2 and isinstance(n, int):
+        return list(bin(n + 1)[:2:-1].encode().translate(_CHAR_DIGITS))
     digits = []
     while n > 0:
         d = n % base

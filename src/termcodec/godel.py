@@ -35,6 +35,15 @@ def _leaves(sig: Signature) -> tuple[Term, ...]:
     return tuple(Var(v) for v in sig.vars) + tuple(Const(c) for c in sig.consts)
 
 
+def _symbol(node: Term) -> tuple[str, object]:
+    """What kind of symbol a node carries, and the symbol."""
+    if isinstance(node, Var):
+        return "variable", node.name
+    if isinstance(node, Const):
+        return "constant", node.symbol
+    return "functor", node.functor
+
+
 def term2nat(sig: Signature, t: Term) -> int:
     """Encode a term whose symbols all occur in the signature."""
     var_ix, const_ix, fun_ix = _index_maps(sig)
@@ -49,32 +58,40 @@ def term2nat(sig: Signature, t: Term) -> int:
         if isinstance(node, Compound):
             work.extend(node.args)
     codes: list[int] = []
-    for node in reversed(order):
-        if isinstance(node, Var):
-            i = var_ix.get(node.name)
-            if i is None:
-                raise CodecError(f"term2nat: variable {node.name} is not in the signature")
-            codes.append(i)
-        elif isinstance(node, Const):
-            i = const_ix.get(node.symbol)  # int leaves never match declared symbols
-            if i is None:
-                raise CodecError(f"term2nat: constant {node.symbol!r} is not in the signature")
-            codes.append(lv + i)
-        elif isinstance(node, Compound):
-            k = len(node.args)
-            label = fun_ix.get((node.functor, k))
-            if label is None:
-                raise CodecError(
-                    f"term2nat: functor {node.functor}/{k} is not in the signature"
-                )
-            if k == 1:
-                codes[-1] = lvc + lf * codes[-1] + label
+    try:
+        for node in reversed(order):
+            if isinstance(node, Var):
+                i = var_ix.get(node.name)
+                if i is None:
+                    raise CodecError(f"term2nat: variable {node.name} is not in the signature")
+                codes.append(i)
+            elif isinstance(node, Const):
+                i = const_ix.get(node.symbol)  # int leaves never match declared symbols
+                if i is None:
+                    raise CodecError(f"term2nat: constant {node.symbol!r} is not in the signature")
+                codes.append(lv + i)
+            elif isinstance(node, Compound):
+                k = len(node.args)
+                label = fun_ix.get((node.functor, k))
+                if label is None:
+                    raise CodecError(
+                        f"term2nat: functor {node.functor}/{k} is not in the signature"
+                    )
+                if k == 1:
+                    codes[-1] = lvc + lf * codes[-1] + label
+                else:
+                    payload = _merge(codes[-k:])
+                    del codes[-k:]
+                    codes.append(lvc + lf * payload + label)
             else:
-                payload = _merge(codes[-k:])
-                del codes[-k:]
-                codes.append(lvc + lf * payload + label)
-        else:
-            raise CodecError(f"term2nat: not a term: {node!r}")
+                raise CodecError(f"term2nat: not a term: {node!r}")
+    except TypeError:
+        kind, symbol = _symbol(node)
+        try:
+            hash(symbol)
+        except TypeError:
+            raise CodecError(f"term2nat: {kind} {symbol!r} is not hashable") from None
+        raise
     return codes[0]
 
 

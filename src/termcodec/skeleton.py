@@ -22,7 +22,7 @@ from .bbase import from_bbase, to_bbase
 from .errors import CodecError
 from .natbits import cons, decons
 from .terms import SYMBOL_NAME, VAR_NAME, Compound, Const, Term, Var
-from .tuples import from_tuple, to_tuple
+from .tuples import _merge, _split, from_tuple, to_tuple
 
 Atom = str | int
 
@@ -58,6 +58,22 @@ def _functor_name(t: Term) -> str:
     raise CodecError("bitpars2term: a nested group cannot fill a functor slot")
 
 
+def _bit_bytes(what: str, ps) -> bytes:
+    """The symbols of ps as bytes 0 and 1; raises CodecError naming the first
+    symbol that is not 0 or 1 (what is the message's prefix)."""
+    ps = list(ps)
+    try:
+        raw = bytes(ps)
+    except (TypeError, ValueError):  # a symbol outside [0, 255] or not an int
+        raw = None
+    if raw is None or raw.translate(None, b"\x00\x01"):
+        for s in ps:
+            if s not in (0, 1):
+                raise CodecError(f"{what} {s!r} is not 0 or 1")
+        raw = bytes([0 if s == 0 else 1 for s in ps])
+    return raw
+
+
 def term2bitpars(t: Term) -> tuple[list[int], list[Atom]]:
     """Split a term into its skeleton and its atom list.
 
@@ -67,30 +83,23 @@ def term2bitpars(t: Term) -> tuple[list[int], list[Atom]]:
     """
     if not isinstance(t, Compound):
         return [0, 1], [_leaf_atom(t)]
-    ps: list[int] = []
-    atoms: list[Atom] = []
-    work: list[tuple[str, object]] = [("group", t)]
-    while work:
-        op, payload = work.pop()
-        if op == "bit":
-            ps.append(payload)
-        elif op == "atom":
-            atoms.append(payload)
+    ps = [0, 0, 1]
+    atoms: list[Atom] = [t.functor]
+    stack = [iter(t.args)]  # the arguments still to render, per open group
+    while stack:
+        for arg in stack[-1]:
+            if isinstance(arg, Compound):
+                ps += (0, 0, 0, 1)  # member open, group open, functor member
+                atoms.append(arg.functor)
+                stack.append(iter(arg.args))
+                break
+            atoms.append(_leaf_atom(arg))
+            ps += (0, 1)
         else:
-            node = payload
-            items: list[tuple[str, object]] = [("bit", 0)]
-            items.append(("bit", 0))
-            items.append(("atom", node.functor))
-            items.append(("bit", 1))
-            for arg in node.args:
-                items.append(("bit", 0))
-                if isinstance(arg, Compound):
-                    items.append(("group", arg))
-                else:
-                    items.append(("atom", _leaf_atom(arg)))
-                items.append(("bit", 1))
-            items.append(("bit", 1))
-            work.extend(reversed(items))
+            stack.pop()
+            ps.append(1)
+            if stack:
+                ps.append(1)  # close of the member wrapping this group
     return ps, atoms
 
 
@@ -99,14 +108,12 @@ def bitpars2term(ps, atoms) -> Term:
 
     Accepts exactly the image of term2bitpars: one balanced group spanning
     the whole sequence, every inner group holding at least two children, and
-    exactly one atom per leaf slot.
+    exactly one atom per leaf slot. Equal leaves of the result are one
+    shared node.
     """
-    ps = list(ps)
+    ps = _bit_bytes("bitpars2term: skeleton symbol", ps)
     atoms = list(atoms)
-    for s in ps:
-        if s not in (0, 1):
-            raise CodecError(f"bitpars2term: skeleton symbol {s!r} is not 0 or 1")
-    if ps == [0, 1]:
+    if ps == b"\x00\x01":
         if len(atoms) != 1:
             raise CodecError(
                 f"bitpars2term: leaf skeleton names 1 atom but {len(atoms)} were given"
@@ -115,49 +122,58 @@ def bitpars2term(ps, atoms) -> Term:
     if not ps or ps[0] != 0:
         raise CodecError("bitpars2term: skeleton must be a single group opened by 0")
     n = len(ps)
+    na = len(atoms)
+    # One node per distinct atom; only exact str and int atoms are shared, so
+    # that True and 1 stay distinct and unhashable atoms reach _atom_term.
+    leaves: dict[Atom, Term] = {}
     ai = 0
     i = 1
     stack: list[list[Term]] = [[]]
-    result: Term | None = None
-    while result is None:
+    while True:
         if i >= n:
             raise CodecError("bitpars2term: skeleton ends inside an open group")
         if ps[i] == 0:
             if i + 1 >= n:
                 raise CodecError("bitpars2term: skeleton ends inside an open group")
-            if ps[i + 1] == 1:
-                if ai >= len(atoms):
+            if ps[i + 1]:
+                if ai >= na:
                     raise CodecError(
                         f"bitpars2term: skeleton holds more leaves than the "
-                        f"{len(atoms)} atoms given"
+                        f"{na} atoms given"
                     )
-                stack[-1].append(_atom_term(atoms[ai]))
+                a = atoms[ai]
                 ai += 1
+                if type(a) is str or type(a) is int:
+                    node = leaves.get(a)
+                    if node is None:
+                        node = leaves[a] = _atom_term(a)
+                else:
+                    node = _atom_term(a)
+                stack[-1].append(node)
             else:
                 stack.append([])
             i += 2  # member open plus either its close or the nested group open
-        else:
-            kids = stack.pop()
-            if len(kids) < 2:
-                raise CodecError(
-                    "bitpars2term: a group must hold a functor and at least one argument"
-                )
-            node = Compound(_functor_name(kids[0]), tuple(kids[1:]))
-            i += 1
-            if stack:
-                if i >= n or ps[i] != 1:
-                    raise CodecError("bitpars2term: unbalanced skeleton")
-                i += 1  # close of the member wrapping this group
-                stack[-1].append(node)
-            else:
-                result = node
+            continue
+        kids = stack.pop()
+        if len(kids) < 2:
+            raise CodecError(
+                "bitpars2term: a group must hold a functor and at least one argument"
+            )
+        node = Compound(_functor_name(kids[0]), tuple(kids[1:]))
+        i += 1
+        if not stack:
+            break
+        if i >= n or ps[i] != 1:
+            raise CodecError("bitpars2term: unbalanced skeleton")
+        i += 1  # close of the member wrapping this group
+        stack[-1].append(node)
     if i != n:
         raise CodecError(f"bitpars2term: {n - i} trailing symbols after the skeleton")
-    if ai != len(atoms):
+    if ai != na:
         raise CodecError(
-            f"bitpars2term: skeleton holds {ai} leaves but {len(atoms)} atoms were given"
+            f"bitpars2term: skeleton holds {ai} leaves but {na} atoms were given"
         )
-    return result
+    return node
 
 
 def term2inj_code(t: Term) -> tuple[int, list[Atom]]:
@@ -207,48 +223,52 @@ def nat2pars(n: int) -> list[int]:
     if n < 0:
         raise CodecError(f"nat2pars: expected a natural number (got {n})")
     out: list[int] = []
-    work: list[int | None] = [n]
+    work = [n]  # -1 stands for the close of a group
     while work:
         x = work.pop()
-        if x is None:
+        if x < 0:
             out.append(1)
-        else:
-            out.append(0)
-            work.append(None)
-            for item in reversed(nat2nats(x)):
-                work.append(item)
+            continue
+        out.append(0)
+        work.append(-1)
+        if x:  # nat2nats(x) without its checks
+            k = (x & -x).bit_length()  # the list's length, decons(x)[0] + 1
+            if k == 1:
+                work.append(x >> 1)
+            else:
+                members = _split(k, x >> k)
+                members.reverse()
+                work += members
     return out
 
 
 def pars2nat(ps) -> int:
     """Inverse of nat2pars on single balanced groups."""
-    ps = list(ps)
-    for s in ps:
-        if s not in (0, 1):
-            raise CodecError(f"pars2nat: symbol {s!r} is not 0 or 1")
+    ps = _bit_bytes("pars2nat: symbol", ps)
     if not ps:
         raise CodecError("pars2nat: empty sequence")
     if ps[0] != 0:
         raise CodecError("pars2nat: sequence must open with 0")
     n = len(ps)
-    i = 1
     stack: list[list[int]] = [[]]
-    result: int | None = None
-    while result is None:
-        if i >= n:
-            raise CodecError("pars2nat: unbalanced sequence, a group is never closed")
+    for i in range(1, n):
         if ps[i] == 0:
             stack.append([])
+            continue
+        kids = stack.pop()  # nats2nat(kids) without its checks
+        k = len(kids)
+        if k == 0:
+            value = 0
+        elif k == 1:
+            value = (kids[0] << 1) | 1
         else:
-            value = nats2nat(stack.pop())
-            if stack:
-                stack[-1].append(value)
-            else:
-                result = value
-        i += 1
-    if i != n:
-        raise CodecError(f"pars2nat: {n - i} trailing symbols after the closing 1")
-    return result
+            value = ((_merge(kids) << 1) | 1) << (k - 1)
+        if not stack:
+            if i + 1 != n:
+                raise CodecError(f"pars2nat: {n - i - 1} trailing symbols after the closing 1")
+            return value
+        stack[-1].append(value)
+    raise CodecError("pars2nat: unbalanced sequence, a group is never closed")
 
 
 def term2code(t: Term) -> tuple[int, list[Atom]]:

@@ -111,6 +111,23 @@ def test_bbase_unbbase(capsys):
     assert (code, out) == (0, "2012\n")
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no int digit limit"
+)
+def test_main_restores_the_int_digit_limit(capsys):
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(5000)
+        code, out, _ = run(capsys, "bbase", "-b", "2", "5")
+        assert (code, out) == (0, "0,1\n")
+        assert sys.get_int_max_str_digits() == 5000
+        with pytest.raises(SystemExit):
+            main(["no-such-subcommand"])
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def test_atom_encode_decode(capsys):
     code, out, _ = run(capsys, "atom-encode", "hello")
     assert (code, out) == (0, "7073802\n")

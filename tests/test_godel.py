@@ -119,6 +119,21 @@ def test_encode_rejects_nested_foreign_symbols(sig_fg_ab, term, message):
         term2nat(sig_fg_ab, term)
 
 
+@pytest.mark.parametrize(
+    "leaf,message",
+    [
+        (Const([1]), r"constant \[1\] is not hashable"),
+        (Var(["x"]), r"variable \['x'\] is not hashable"),
+        (Compound(["f"], (Const("a"), Var("X"))), r"functor \['f'\] is not hashable"),
+    ],
+)
+@pytest.mark.parametrize("nested", [False, True])
+def test_encode_rejects_unhashable_symbols(sig_fg_ab, leaf, message, nested):
+    term = Compound("f", (Const("a"), Compound("g", (leaf,)))) if nested else leaf
+    with pytest.raises(CodecError, match=message):
+        term2nat(sig_fg_ab, term)
+
+
 def test_decoded_and_parsed_terms_share_equal_leaves(sig_fg_ab):
     t = nat2term(sig_fg_ab, random.Random(5).getrandbits(10**5))
     text = print_term(t)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -15,6 +17,7 @@ from termcodec import (
     nats2nat,
     pars2nat,
     parse_term,
+    print_term,
     term2bitpars,
     term2code,
     term2inj_code,
@@ -276,3 +279,64 @@ def test_pars_roundtrip_big(n):
     ps = nat2pars(n)
     assert is_balanced(ps)
     assert pars2nat(ps) == n
+
+
+def leaf_nodes(t):
+    work, leaves = [t], []
+    while work:
+        node = work.pop()
+        if isinstance(node, Compound):
+            work.extend(node.args)
+        else:
+            leaves.append(node)
+    return leaves
+
+
+def test_bitpars_decode_shares_equal_leaves():
+    t = parse_term("f(g(a,X),X,42,h(a,42,Y,X))")
+    for decoded in (
+        bitpars2term(*term2bitpars(t)),
+        code2term(*term2code(t)),
+        inj_code2term(*term2inj_code(t)),
+    ):
+        assert decoded == t
+        ids = {}
+        for leaf in leaf_nodes(decoded):
+            ids.setdefault(leaf, set()).add(id(leaf))
+        assert len(ids) == 4  # a, X, 42 and Y
+        assert all(len(s) == 1 for s in ids.values())
+
+
+def test_bitpars_decode_keeps_true_and_1_apart():
+    t = bitpars2term([0, 0, 1, 0, 1, 0, 1, 1], ["f", True, 1])
+    assert [type(leaf.symbol) for leaf in t.args] == [bool, int]
+
+
+@pytest.mark.parametrize("atom", [[1], -3, "a b", 1.5, None])
+@pytest.mark.parametrize("slot", [0, 1])
+def test_bitpars_decode_rejects_bad_atoms(atom, slot):
+    ps = [0, 0, 1, 0, 1, 0, 0, 0, 1, 0, 1, 1, 1, 1]  # f(a, g(b))
+    atoms = ["f", "a", "g", "b"]
+    atoms[[1, 3][slot]] = atom
+    with pytest.raises(CodecError):
+        bitpars2term(ps, atoms)
+    with pytest.raises(CodecError):
+        bitpars2term([0, 1], [atom])
+
+
+def balanced_term(rng, depth):
+    """A complete tree whose arity cycles 2, 3, 4 with depth."""
+    if depth == 0:
+        return rng.choice([Var("X"), Var("Y"), Const("a"), Const("b"), Const(0), Const(42)])
+    k = 2 + depth % 3
+    return Compound(rng.choice("fgh"), tuple(balanced_term(rng, depth - 1) for _ in range(k)))
+
+
+def test_term_code_roundtrip_at_10_pow_5_bits():
+    t = balanced_term(random.Random(7), 8)
+    text = print_term(t)
+    code, atoms = term2code(t)
+    assert code.bit_length() >= 10**5
+    assert print_term(code2term(code, atoms)) == text
+    inj, atoms = term2inj_code(t)
+    assert print_term(inj_code2term(inj, atoms)) == text
