@@ -1,9 +1,9 @@
 """Bijective codecs between first-order terms, lists, strings, and naturals."""
 
-from .bbase import from_bbase, nat2atom, nat2string, atom2nat, string2nat, to_bbase
+from .bbase import from_bbase, nat2string, string2nat, to_bbase
 from .errors import CodecError, ParseError, SignatureError
 from .godel import nat2term, ranterm, term2nat
-from .natbits import cons, decons, lsb
+from .natbits import cons, decons
 from .skeleton import (
     bitpars2term,
     code2term,
@@ -39,7 +39,6 @@ __all__ = [
     "SignatureError",
     "Term",
     "Var",
-    "atom2nat",
     "bitpars2term",
     "code2term",
     "cons",
@@ -51,8 +50,6 @@ __all__ = [
     "k_deflate",
     "k_inflate",
     "load_signature",
-    "lsb",
-    "nat2atom",
     "nat2nats",
     "nat2pars",
     "nat2string",

@@ -30,15 +30,21 @@ def _check_base(op: str, base: int) -> None:
         raise CodecError(f"{op}: base must be >= 2 (got {base})")
 
 
+def _as_bits(seq) -> bytes | None:
+    """seq as bytes if every member is 0 or 1, else None."""
+    try:
+        raw = bytes(seq)
+    except (TypeError, ValueError):  # a member outside [0, 255] or not an int
+        return None
+    return None if raw.translate(None, b"\x00\x01") else raw
+
+
 def from_bbase(base: int, digits: list[int]) -> int:
     """Value of a least-significant-first digit sequence in bijective base-k."""
     _check_base("from_bbase", base)
     if base == 2 and isinstance(digits, (list, tuple)):
-        try:
-            raw = bytes(digits)
-        except (TypeError, ValueError):  # a digit outside [0, 255] or not an int
-            raw = None
-        if raw is not None and not raw.translate(None, b"\x00\x01"):
+        raw = _as_bits(digits)
+        if raw is not None:
             return int(b"1" + raw[::-1].translate(_DIGIT_CHARS), 2) - 1
     r = 0
     for d in reversed(digits):
@@ -82,12 +88,3 @@ def string2nat(s: str) -> int:
 
 def nat2string(n: int) -> str:
     return "".join(chr(_A + d) for d in to_bbase(ALPHABET_BASE, n))
-
-
-def atom2nat(name: str) -> int:
-    """Encode a symbol name; numerically identical to string2nat."""
-    return string2nat(name)
-
-
-def nat2atom(n: int) -> str:
-    return nat2string(n)

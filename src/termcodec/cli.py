@@ -64,111 +64,28 @@ def _join(items) -> str:
     return ",".join(str(x) for x in items)
 
 
-def _cmd_encode_term(args) -> int:
-    sig = load_signature(args.sig)
-    print(term2nat(sig, parse_term(args.term)))
-    return 0
+def _coded(pair) -> list:
+    """A (code, atoms) pair as its two output lines."""
+    code, atoms = pair
+    return [code, _join(atoms)]
 
 
-def _cmd_decode_term(args) -> int:
-    sig = load_signature(args.sig)
-    print(print_term(nat2term(sig, _nat(args.nat))))
-    return 0
+def _par(ch: str) -> int:
+    if ch not in ("(", ")"):
+        raise CodecError(f"unpars: {ch!r} is not '(' or ')'")
+    return 0 if ch == "(" else 1
 
 
-def _cmd_skeleton_encode(args) -> int:
-    code, atoms = term2code(parse_term(args.term))
-    print(code)
-    print(_join(atoms))
-    return 0
-
-
-def _cmd_skeleton_decode(args) -> int:
-    print(print_term(code2term(_nat(args.nat), _atom_list(args.atoms))))
-    return 0
-
-
-def _cmd_inj_encode(args) -> int:
-    code, atoms = term2inj_code(parse_term(args.term))
-    print(code)
-    print(_join(atoms))
-    return 0
-
-
-def _cmd_inj_decode(args) -> int:
-    print(print_term(inj_code2term(_nat(args.nat), _atom_list(args.atoms))))
-    return 0
-
-
-def _cmd_pars(args) -> int:
-    print("".join("(" if s == 0 else ")" for s in nat2pars(_nat(args.nat))))
-    return 0
-
-
-def _cmd_unpars(args) -> int:
-    seq = []
-    for ch in args.pstring.strip():
-        if ch == "(":
-            seq.append(0)
-        elif ch == ")":
-            seq.append(1)
-        else:
-            raise CodecError(f"unpars: {ch!r} is not '(' or ')'")
-    print(pars2nat(seq))
-    return 0
-
-
-def _cmd_listnat(args) -> int:
-    print(nats2nat(_nat_list(args.list)))
-    return 0
-
-
-def _cmd_natlist(args) -> int:
-    print(_join(nat2nats(_nat(args.nat))))
-    return 0
-
-
-def _cmd_tuple(args) -> int:
-    print(_join(to_tuple(args.k, _nat(args.nat))))
-    return 0
-
-
-def _cmd_untuple(args) -> int:
-    print(from_tuple(_nat_list(args.list)))
-    return 0
-
-
-def _cmd_bbase(args) -> int:
-    print(_join(to_bbase(args.base, _nat(args.nat))))
-    return 0
-
-
-def _cmd_unbbase(args) -> int:
-    print(from_bbase(args.base, _nat_list(args.list)))
-    return 0
-
-
-def _cmd_atom_encode(args) -> int:
-    print(string2nat(args.word))
-    return 0
-
-
-def _cmd_atom_decode(args) -> int:
-    print(nat2string(_nat(args.nat)))
-    return 0
-
-
-def _cmd_random_term(args) -> int:
+def _random_term(args):
     if args.count < 1:
         raise CodecError(f"random-term: count must be >= 1 (got {args.count})")
     sig = load_signature(args.sig)
     rng = random.Random(args.seed)
     for _ in range(args.count):
-        print(print_term(ranterm(sig, args.bits, rng)))
-    return 0
+        yield print_term(ranterm(sig, args.bits, rng))
 
 
-def _cmd_roundtrip(args) -> int:
+def _roundtrip(args):
     if args.max < 0:
         raise CodecError(f"roundtrip: max must be >= 0 (got {args.max})")
     sig = load_signature(args.sig)
@@ -176,13 +93,12 @@ def _cmd_roundtrip(args) -> int:
         t = nat2term(sig, n)
         m = term2nat(sig, t)
         if m != n:
-            print(f"mismatch at {n}: decoded {print_term(t)}, re-encoded {m}")
+            yield f"mismatch at {n}: decoded {print_term(t)}, re-encoded {m}"
             return 1
-    print(f"ok {args.max + 1} checked")
-    return 0
+    yield f"ok {args.max + 1} checked"
 
 
-def _cmd_stats(args) -> int:
+def _stats(args):
     if args.count < 1:
         raise CodecError(f"stats: count must be >= 1 (got {args.count})")
     if args.bits < 1:
@@ -197,19 +113,73 @@ def _cmd_stats(args) -> int:
         ps, _ = term2bitpars(t)
         ratio = code.bit_length() / len(text)
         ratios.append(ratio)
-        print(
+        yield (
             f"bits={code.bit_length()} chars={len(text)} "
             f"skeleton={len(ps)} ratio={ratio:.4f}"
         )
-    print(
+    yield (
         f"ratio min={min(ratios):.4f} max={max(ratios):.4f} "
         f"mean={statistics.mean(ratios):.4f}"
     )
-    return 0
 
 
-def _add_sig(sub) -> None:
-    sub.add_argument("--sig", required=True, metavar="FILE", help="signature file")
+_SIG = ("--sig", {"required": True, "metavar": "FILE", "help": "signature file"})
+_ATOMS = ("--atoms", {"required": True, "help": "comma-separated leaf tokens"})
+_INT = {"type": int, "required": True}
+_BASE = ("-b", "--base", _INT)
+_SEED = ("--seed", _INT)
+
+# One row per subcommand: name, help, arguments in declaration order (a bare
+# name is a positional; otherwise flags then add_argument keywords), and a
+# function from the parsed arguments to the output lines. The functions look
+# the codecs up at call time, so that wrappers set on this module apply.
+# NAT, list and atom arguments are parsed by the functions, not by argparse
+# type=: a CodecError there would become a usage error with exit status 2.
+_SUBCOMMANDS = (
+    ("encode-term", "term text to its code under a signature", (_SIG, "term"),
+     lambda a: [term2nat(load_signature(a.sig), parse_term(a.term))]),
+    ("decode-term", "code to term text under a signature", (_SIG, "nat"),
+     lambda a: [print_term(nat2term(load_signature(a.sig), _nat(a.nat)))]),
+    ("skeleton-encode", "term to skeleton code plus atom list (two lines)", ("term",),
+     lambda a: _coded(term2code(parse_term(a.term)))),
+    ("skeleton-decode", "skeleton code plus atoms to a term", ("nat", _ATOMS),
+     lambda a: [print_term(code2term(_nat(a.nat), _atom_list(a.atoms)))]),
+    ("inj-encode", "term to injective structure code plus atom list", ("term",),
+     lambda a: _coded(term2inj_code(parse_term(a.term)))),
+    ("inj-decode", "injective structure code plus atoms to a term", ("nat", _ATOMS),
+     lambda a: [print_term(inj_code2term(_nat(a.nat), _atom_list(a.atoms)))]),
+    ("pars", "natural to balanced parenthesis string", ("nat",),
+     lambda a: ["".join("(" if s == 0 else ")" for s in nat2pars(_nat(a.nat)))]),
+    ("unpars", "balanced parenthesis string to natural", ("pstring",),
+     lambda a: [pars2nat([_par(ch) for ch in a.pstring.strip()])]),
+    ("listnat", "comma list of naturals to one natural", ("list",),
+     lambda a: [nats2nat(_nat_list(a.list))]),
+    ("natlist", "natural to comma list of naturals", ("nat",),
+     lambda a: [_join(nat2nats(_nat(a.nat)))]),
+    ("tuple", "natural to a k-tuple by bit deinterleaving",
+     (("-k", _INT | {"help": "tuple width"}), "nat"),
+     lambda a: [_join(to_tuple(a.k, _nat(a.nat)))]),
+    ("untuple", "comma tuple to a natural by bit interleaving", ("list",),
+     lambda a: [from_tuple(_nat_list(a.list))]),
+    ("bbase", "natural to bijective base-b digits", (_BASE, "nat"),
+     lambda a: [_join(to_bbase(a.base, _nat(a.nat)))]),
+    ("unbbase", "bijective base-b digits to a natural", (_BASE, "list"),
+     lambda a: [from_bbase(a.base, _nat_list(a.list))]),
+    ("atom-encode", "lowercase word to a natural", ("word",),
+     lambda a: [string2nat(a.word)]),
+    ("atom-decode", "natural to a lowercase word", ("nat",),
+     lambda a: [nat2string(_nat(a.nat))]),
+    ("random-term", "decode uniform random codes to terms",
+     (_SIG, ("--bits", _INT | {"help": "code size in bits"}), _SEED,
+      ("--count", {"type": int, "default": 1})),
+     _random_term),
+    ("roundtrip", "check decode/encode identity for all codes up to a bound",
+     (_SIG, ("--max", _INT | {"help": "largest code to check"})),
+     _roundtrip),
+    ("stats", "code size against printed size on random terms",
+     (_SIG, ("--bits", _INT), _SEED, ("--count", _INT)),
+     _stats),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -218,103 +188,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="bijective codecs between terms, lists, strings, and naturals",
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    sub = subs.add_parser("encode-term", help="term text to its code under a signature")
-    _add_sig(sub)
-    sub.add_argument("term")
-    sub.set_defaults(handler=_cmd_encode_term)
-
-    sub = subs.add_parser("decode-term", help="code to term text under a signature")
-    _add_sig(sub)
-    sub.add_argument("nat")
-    sub.set_defaults(handler=_cmd_decode_term)
-
-    sub = subs.add_parser(
-        "skeleton-encode", help="term to skeleton code plus atom list (two lines)"
-    )
-    sub.add_argument("term")
-    sub.set_defaults(handler=_cmd_skeleton_encode)
-
-    sub = subs.add_parser("skeleton-decode", help="skeleton code plus atoms to a term")
-    sub.add_argument("nat")
-    sub.add_argument("--atoms", required=True, help="comma-separated leaf tokens")
-    sub.set_defaults(handler=_cmd_skeleton_decode)
-
-    sub = subs.add_parser(
-        "inj-encode", help="term to injective structure code plus atom list"
-    )
-    sub.add_argument("term")
-    sub.set_defaults(handler=_cmd_inj_encode)
-
-    sub = subs.add_parser("inj-decode", help="injective structure code plus atoms to a term")
-    sub.add_argument("nat")
-    sub.add_argument("--atoms", required=True, help="comma-separated leaf tokens")
-    sub.set_defaults(handler=_cmd_inj_decode)
-
-    sub = subs.add_parser("pars", help="natural to balanced parenthesis string")
-    sub.add_argument("nat")
-    sub.set_defaults(handler=_cmd_pars)
-
-    sub = subs.add_parser("unpars", help="balanced parenthesis string to natural")
-    sub.add_argument("pstring")
-    sub.set_defaults(handler=_cmd_unpars)
-
-    sub = subs.add_parser("listnat", help="comma list of naturals to one natural")
-    sub.add_argument("list")
-    sub.set_defaults(handler=_cmd_listnat)
-
-    sub = subs.add_parser("natlist", help="natural to comma list of naturals")
-    sub.add_argument("nat")
-    sub.set_defaults(handler=_cmd_natlist)
-
-    sub = subs.add_parser("tuple", help="natural to a k-tuple by bit deinterleaving")
-    sub.add_argument("-k", type=int, required=True, help="tuple width")
-    sub.add_argument("nat")
-    sub.set_defaults(handler=_cmd_tuple)
-
-    sub = subs.add_parser("untuple", help="comma tuple to a natural by bit interleaving")
-    sub.add_argument("list")
-    sub.set_defaults(handler=_cmd_untuple)
-
-    sub = subs.add_parser("bbase", help="natural to bijective base-b digits")
-    sub.add_argument("-b", "--base", type=int, required=True)
-    sub.add_argument("nat")
-    sub.set_defaults(handler=_cmd_bbase)
-
-    sub = subs.add_parser("unbbase", help="bijective base-b digits to a natural")
-    sub.add_argument("-b", "--base", type=int, required=True)
-    sub.add_argument("list")
-    sub.set_defaults(handler=_cmd_unbbase)
-
-    sub = subs.add_parser("atom-encode", help="lowercase word to a natural")
-    sub.add_argument("word")
-    sub.set_defaults(handler=_cmd_atom_encode)
-
-    sub = subs.add_parser("atom-decode", help="natural to a lowercase word")
-    sub.add_argument("nat")
-    sub.set_defaults(handler=_cmd_atom_decode)
-
-    sub = subs.add_parser("random-term", help="decode uniform random codes to terms")
-    _add_sig(sub)
-    sub.add_argument("--bits", type=int, required=True, help="code size in bits")
-    sub.add_argument("--seed", type=int, required=True)
-    sub.add_argument("--count", type=int, default=1)
-    sub.set_defaults(handler=_cmd_random_term)
-
-    sub = subs.add_parser(
-        "roundtrip", help="check decode/encode identity for all codes up to a bound"
-    )
-    _add_sig(sub)
-    sub.add_argument("--max", type=int, required=True, help="largest code to check")
-    sub.set_defaults(handler=_cmd_roundtrip)
-
-    sub = subs.add_parser("stats", help="code size against printed size on random terms")
-    _add_sig(sub)
-    sub.add_argument("--bits", type=int, required=True)
-    sub.add_argument("--seed", type=int, required=True)
-    sub.add_argument("--count", type=int, required=True)
-    sub.set_defaults(handler=_cmd_stats)
-
+    for name, help_text, arguments, run in _SUBCOMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        for arg in arguments:
+            if isinstance(arg, str):
+                sub.add_argument(arg)
+            else:
+                sub.add_argument(*arg[:-1], **arg[-1])
+        sub.set_defaults(run=run)
     return parser
 
 
@@ -326,7 +207,13 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = _build_parser().parse_args(argv)
-        return args.handler(args)
+        lines = iter(args.run(args))
+        while True:
+            try:
+                line = next(lines)
+            except StopIteration as stop:  # roundtrip returns 1 after a mismatch
+                return stop.value or 0
+            print(line)
     except (CodecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

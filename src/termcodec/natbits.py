@@ -1,42 +1,13 @@
-"""Primitive operations on unbounded non-negative integers.
+"""The pairing cons(x, y) = 2^x * (2y + 1) between Nat^2 and positive naturals.
 
-Python ints are already arbitrary-precision, so the primitives below are
-thin wrappers whose value is the explicit domain checking: operations that
-are undefined on 0 (or on negatives) fail loudly instead of wrapping.
+Python ints are already arbitrary-precision, so the two functions below are
+thin wrappers whose value is the explicit domain checking: arguments outside
+the domain (0 for decons, negatives for cons) fail loudly instead of wrapping.
 """
 
 from __future__ import annotations
 
 from .errors import CodecError
-
-
-def first_bit(n: int) -> int:
-    return n & 1
-
-
-def shift_left(n: int, k: int) -> int:
-    return n << k
-
-
-def shift_right(n: int, k: int) -> int:
-    return n >> k
-
-
-def successor(n: int) -> int:
-    return n + 1
-
-
-def predecessor(n: int) -> int:
-    if n < 1:
-        raise CodecError(f"predecessor: argument must be >= 1 (got {n})")
-    return n - 1
-
-
-def lsb(n: int) -> int:
-    """Index of the lowest set bit, i.e. the largest e with 2^e dividing n."""
-    if n < 1:
-        raise CodecError(f"lsb: argument must be >= 1 (got {n})")
-    return (n & -n).bit_length() - 1
 
 
 def cons(x: int, y: int) -> int:

@@ -18,7 +18,7 @@ All tree walks use explicit stacks; skeleton depth can reach len(ps) // 2.
 
 from __future__ import annotations
 
-from .bbase import from_bbase, to_bbase
+from .bbase import _as_bits, from_bbase, to_bbase
 from .errors import CodecError
 from .natbits import cons, decons
 from .terms import SYMBOL_NAME, VAR_NAME, Compound, Const, Term, Var
@@ -62,11 +62,8 @@ def _bit_bytes(what: str, ps) -> bytes:
     """The symbols of ps as bytes 0 and 1; raises CodecError naming the first
     symbol that is not 0 or 1 (what is the message's prefix)."""
     ps = list(ps)
-    try:
-        raw = bytes(ps)
-    except (TypeError, ValueError):  # a symbol outside [0, 255] or not an int
-        raw = None
-    if raw is None or raw.translate(None, b"\x00\x01"):
+    raw = _as_bits(ps)
+    if raw is None:
         for s in ps:
             if s not in (0, 1):
                 raise CodecError(f"{what} {s!r} is not 0 or 1")

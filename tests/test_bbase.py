@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from termcodec import CodecError, atom2nat, from_bbase, nat2atom, nat2string, string2nat, to_bbase
+from termcodec import CodecError, from_bbase, nat2string, string2nat, to_bbase
 from termcodec.bbase import ALPHABET_BASE
 
 
@@ -91,11 +91,6 @@ def test_repeated_letter_is_monotonic():
 def test_string_roundtrip_exhaustive():
     for n in range(50_000):
         assert string2nat(nat2string(n)) == n
-
-
-def test_atom_aliases():
-    assert atom2nat("hello") == string2nat("hello")
-    assert nat2atom(2012) == "jyb"
 
 
 @given(st.integers(2, 40), st.integers(0, 2**256))

@@ -206,6 +206,16 @@ def test_cli_roundtrip_random_terms(capsys):
         (["random-term", "--sig", "SIGFILE", "--bits", "0", "--seed", "1"], "bits"),
         (["random-term", "--sig", "SIGFILE", "--bits", "8", "--seed", "1", "--count", "0"], "count"),
         (["roundtrip", "--sig", "SIGFILE", "--max", "-1"], "max"),
+        (["skeleton-decode", "12x", "--atoms", "a"], "decimal natural"),
+        (["inj-decode", "12x", "--atoms", "a"], "decimal natural"),
+        (["pars", "12x"], "decimal natural"),
+        (["natlist", "12x"], "decimal natural"),
+        (["tuple", "-k", "3", "12x"], "decimal natural"),
+        (["bbase", "-b", "2", "12x"], "decimal natural"),
+        (["atom-decode", "12x"], "decimal natural"),
+        (["listnat", "1,x"], "decimal natural"),
+        (["untuple", "1,x"], "decimal natural"),
+        (["unbbase", "-b", "2", "0,x"], "decimal natural"),
     ],
 )
 def test_domain_errors_exit_nonzero(capsys, sig_file, argv, fragment):
@@ -216,6 +226,47 @@ def test_domain_errors_exit_nonzero(capsys, sig_file, argv, fragment):
     assert err.startswith("error: ")
     assert fragment in err
     assert len(err.strip().splitlines()) == 1
+
+
+USAGES = {
+    "encode-term": "[-h] --sig FILE term",
+    "decode-term": "[-h] --sig FILE nat",
+    "skeleton-encode": "[-h] term",
+    "skeleton-decode": "[-h] --atoms ATOMS nat",
+    "inj-encode": "[-h] term",
+    "inj-decode": "[-h] --atoms ATOMS nat",
+    "pars": "[-h] nat",
+    "unpars": "[-h] pstring",
+    "listnat": "[-h] list",
+    "natlist": "[-h] nat",
+    "tuple": "[-h] -k K nat",
+    "untuple": "[-h] list",
+    "bbase": "[-h] -b BASE nat",
+    "unbbase": "[-h] -b BASE list",
+    "atom-encode": "[-h] word",
+    "atom-decode": "[-h] nat",
+    "random-term": "[-h] --sig FILE --bits BITS --seed SEED\n"
+    + " " * 29 + "[--count COUNT]",
+    "roundtrip": "[-h] --sig FILE --max MAX",
+    "stats": "[-h] --sig FILE --bits BITS --seed SEED --count COUNT",
+}
+
+
+def test_usage_lines(capsys, monkeypatch):
+    """The subcommands, their order and each one's usage line at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    indent = "\n" + " " * 17
+    assert capsys.readouterr().out.startswith(
+        "usage: termcodec [-h]" + indent + "{" + ",".join(USAGES) + "}" + indent + "...\n"
+    )
+    for name, usage in USAGES.items():
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: termcodec {name} {usage}\n\n")
 
 
 def test_unknown_subcommand_rejected():

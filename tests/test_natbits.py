@@ -2,52 +2,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from termcodec import CodecError, cons, decons, lsb
-from termcodec.natbits import first_bit, predecessor, shift_left, shift_right, successor
-
-
-def test_first_bit():
-    assert first_bit(0) == 0
-    assert first_bit(1) == 1
-    assert first_bit(2012) == 0
-    assert first_bit(7) == 1
-
-
-def test_shifts():
-    assert shift_left(5, 3) == 40
-    assert shift_right(40, 3) == 5
-    assert shift_right(41, 3) == 5
-
-
-def test_successor_predecessor():
-    assert successor(0) == 1
-    assert predecessor(1) == 0
-    for n in range(50):
-        assert predecessor(successor(n)) == n
-    with pytest.raises(CodecError):
-        predecessor(0)
-
-
-def trailing_zeros(n: int) -> int:
-    "Reference lsb: strip factors of two one at a time."
-    e = 0
-    while n % 2 == 0:
-        n //= 2
-        e += 1
-    return e
-
-
-def test_lsb_examples():
-    assert lsb(2012) == 2
-    assert lsb(1) == 0
-    assert lsb(8) == 3
-    with pytest.raises(CodecError):
-        lsb(0)
-
-
-def test_lsb_matches_reference():
-    for n in range(1, 4096):
-        assert lsb(n) == trailing_zeros(n)
+from termcodec import CodecError, cons, decons
 
 
 def test_cons_examples():
