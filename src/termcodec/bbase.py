@@ -15,7 +15,7 @@ atom strings use them.
 
 from __future__ import annotations
 
-from .errors import CodecError
+from .errors import CodecError, check_min
 
 _A = ord("a")
 _Z = ord("z")
@@ -23,11 +23,6 @@ ALPHABET_BASE = _Z - _A + 1
 
 _DIGIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 _CHAR_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _check_base(op: str, base: int) -> None:
-    if base < 2:
-        raise CodecError(f"{op}: base must be >= 2 (got {base})")
 
 
 def _as_bits(seq) -> bytes | None:
@@ -41,7 +36,7 @@ def _as_bits(seq) -> bytes | None:
 
 def from_bbase(base: int, digits: list[int]) -> int:
     """Value of a least-significant-first digit sequence in bijective base-k."""
-    _check_base("from_bbase", base)
+    check_min("from_bbase", "base", base, 2)
     if base == 2 and isinstance(digits, (list, tuple)):
         raw = _as_bits(digits)
         if raw is not None:
@@ -56,9 +51,8 @@ def from_bbase(base: int, digits: list[int]) -> int:
 
 def to_bbase(base: int, n: int) -> list[int]:
     """The unique digit sequence whose from_bbase value is n; empty iff n == 0."""
-    _check_base("to_bbase", base)
-    if n < 0:
-        raise CodecError(f"to_bbase: argument must be >= 0 (got {n})")
+    check_min("to_bbase", "base", base, 2)
+    check_min("to_bbase", "argument", n, 0)
     if base == 2 and isinstance(n, int):
         return list(bin(n + 1)[:2:-1].encode().translate(_CHAR_DIGITS))
     digits = []

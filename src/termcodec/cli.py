@@ -12,11 +12,10 @@ from __future__ import annotations
 import argparse
 import random
 import re
-import statistics
 import sys
 
 from .bbase import from_bbase, nat2string, string2nat, to_bbase
-from .errors import CodecError
+from .errors import CodecError, check_min
 from .godel import nat2term, ranterm, term2nat
 from .skeleton import (
     code2term,
@@ -42,22 +41,18 @@ def _nat(text: str) -> int:
     return int(text)
 
 
-def _nat_list(text: str) -> list[int]:
+def _tokens(text: str) -> list[str]:
+    """Comma-separated tokens, each stripped; the empty string is no tokens."""
     text = text.strip()
-    if not text:
-        return []
-    return [_nat(tok) for tok in text.split(",")]
+    return [tok.strip() for tok in text.split(",")] if text else []
+
+
+def _nat_list(text: str) -> list[int]:
+    return [_nat(tok) for tok in _tokens(text)]
 
 
 def _atom_list(text: str) -> list[str | int]:
-    text = text.strip()
-    if not text:
-        return []
-    out: list[str | int] = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        out.append(int(tok) if _NAT.match(tok) else tok)
-    return out
+    return [int(tok) if _NAT.match(tok) else tok for tok in _tokens(text)]
 
 
 def _join(items) -> str:
@@ -77,8 +72,7 @@ def _par(ch: str) -> int:
 
 
 def _random_term(args):
-    if args.count < 1:
-        raise CodecError(f"random-term: count must be >= 1 (got {args.count})")
+    check_min("random-term", "count", args.count, 1)
     sig = load_signature(args.sig)
     rng = random.Random(args.seed)
     for _ in range(args.count):
@@ -86,8 +80,7 @@ def _random_term(args):
 
 
 def _roundtrip(args):
-    if args.max < 0:
-        raise CodecError(f"roundtrip: max must be >= 0 (got {args.max})")
+    check_min("roundtrip", "max", args.max, 0)
     sig = load_signature(args.sig)
     for n in range(args.max + 1):
         t = nat2term(sig, n)
@@ -99,10 +92,8 @@ def _roundtrip(args):
 
 
 def _stats(args):
-    if args.count < 1:
-        raise CodecError(f"stats: count must be >= 1 (got {args.count})")
-    if args.bits < 1:
-        raise CodecError(f"stats: bits must be >= 1 (got {args.bits})")
+    check_min("stats", "count", args.count, 1)
+    check_min("stats", "bits", args.bits, 1)
     sig = load_signature(args.sig)
     rng = random.Random(args.seed)
     ratios = []
@@ -119,7 +110,7 @@ def _stats(args):
         )
     yield (
         f"ratio min={min(ratios):.4f} max={max(ratios):.4f} "
-        f"mean={statistics.mean(ratios):.4f}"
+        f"mean={sum(ratios) / len(ratios):.4f}"
     )
 
 

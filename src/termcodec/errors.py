@@ -1,4 +1,4 @@
-"""Exception types shared across the codecs."""
+"""Exception types and the numeric-minimum check shared across the codecs."""
 
 from __future__ import annotations
 
@@ -17,3 +17,9 @@ class ParseError(CodecError):
 
 class SignatureError(CodecError):
     """A signature violating one of its invariants."""
+
+
+def check_min(op: str, what: str, value: int, least: int) -> None:
+    """Raise CodecError unless value >= least; the one numeric-minimum check."""
+    if value < least:
+        raise CodecError(f"{op}: {what} must be >= {least} (got {value})")

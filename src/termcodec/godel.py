@@ -14,25 +14,21 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from .errors import CodecError
+from .errors import CodecError, check_min
 from .terms import Compound, Const, Signature, Term, Var, validate_signature
 from .tuples import _merge, _split
 
 
 @lru_cache(maxsize=None)
-def _index_maps(sig: Signature):
+def _table(sig: Signature):
+    """Validate sig once, then index it: the symbol indexes, and the node of
+    every leaf code, shared by all terms decoded under sig."""
     validate_signature(sig)
     var_ix = {v: i for i, v in enumerate(sig.vars)}
     const_ix = {c: i for i, c in enumerate(sig.consts)}
     fun_ix = {fk: i for i, fk in enumerate(sig.funs)}
-    return var_ix, const_ix, fun_ix
-
-
-@lru_cache(maxsize=None)
-def _leaves(sig: Signature) -> tuple[Term, ...]:
-    """The node of every leaf code, shared by all terms decoded under sig."""
-    _index_maps(sig)
-    return tuple(Var(v) for v in sig.vars) + tuple(Const(c) for c in sig.consts)
+    leaves = tuple(Var(v) for v in sig.vars) + tuple(Const(c) for c in sig.consts)
+    return var_ix, const_ix, fun_ix, leaves
 
 
 def _symbol(node: Term) -> tuple[str, object]:
@@ -46,7 +42,7 @@ def _symbol(node: Term) -> tuple[str, object]:
 
 def term2nat(sig: Signature, t: Term) -> int:
     """Encode a term whose symbols all occur in the signature."""
-    var_ix, const_ix, fun_ix = _index_maps(sig)
+    var_ix, const_ix, fun_ix, _ = _table(sig)
     lv, lvc, lf = sig.lv, sig.lvc, sig.lf
     # Preorder that visits the last argument first: reversed, it lists every
     # compound right after its arguments, which come first to last.
@@ -101,9 +97,8 @@ def nat2term(sig: Signature, n: int) -> Term:
     Uses explicit work lists: a signature with a unary functor yields
     nesting depth proportional to the code's bitsize.
     """
-    leaves = _leaves(sig)
-    if n < 0:
-        raise CodecError(f"nat2term: code must be >= 0 (got {n})")
+    leaves = _table(sig)[3]
+    check_min("nat2term", "code", n, 0)
     lvc, lf = sig.lvc, sig.lf
     if lf == 0 and n >= lvc:
         raise CodecError(
@@ -148,9 +143,8 @@ def ranterm(sig: Signature, bits: int, rng: random.Random) -> Term:
     The draw is uniform over codes, not over term shapes. Deterministic for
     a given rng state (rng is a random.Random, i.e. seeded Mersenne Twister).
     """
-    if bits < 1:
-        raise CodecError(f"ranterm: bits must be >= 1 (got {bits})")
-    _index_maps(sig)
+    check_min("ranterm", "bits", bits, 1)
+    _table(sig)
     if sig.lf == 0:
         raise CodecError("ranterm: signature declares no function symbols")
     return nat2term(sig, rng.getrandbits(bits))

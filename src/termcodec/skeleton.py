@@ -19,7 +19,7 @@ All tree walks use explicit stacks; skeleton depth can reach len(ps) // 2.
 from __future__ import annotations
 
 from .bbase import _as_bits, from_bbase, to_bbase
-from .errors import CodecError
+from .errors import CodecError, check_min
 from .natbits import cons, decons
 from .terms import SYMBOL_NAME, VAR_NAME, Compound, Const, Term, Var
 from .tuples import _merge, _split, from_tuple, to_tuple
@@ -80,12 +80,16 @@ def term2bitpars(t: Term) -> tuple[list[int], list[Atom]]:
     """
     if not isinstance(t, Compound):
         return [0, 1], [_leaf_atom(t)]
+    if not t.args:
+        raise CodecError(f"term2bitpars: compound {t.functor}() has no arguments")
     ps = [0, 0, 1]
     atoms: list[Atom] = [t.functor]
     stack = [iter(t.args)]  # the arguments still to render, per open group
     while stack:
         for arg in stack[-1]:
             if isinstance(arg, Compound):
+                if not arg.args:
+                    raise CodecError(f"term2bitpars: compound {arg.functor}() has no arguments")
                 ps += (0, 0, 0, 1)  # member open, group open, functor member
                 atoms.append(arg.functor)
                 stack.append(iter(arg.args))
@@ -194,8 +198,7 @@ def nat2nats(n: int) -> list[int]:
     0 is the empty list; otherwise decons splits n into a length part and a
     content part, and the tuple codec splits the content into the items.
     """
-    if n < 0:
-        raise CodecError(f"nat2nats: expected a natural number (got {n})")
+    check_min("nat2nats", "argument", n, 0)
     if n == 0:
         return []
     length_less_one, content = decons(n)
@@ -217,8 +220,7 @@ def nat2pars(n: int) -> list[int]:
     child value is strictly smaller than its parent, so this terminates;
     the walk is iterative because depth is only bounded by that descent.
     """
-    if n < 0:
-        raise CodecError(f"nat2pars: expected a natural number (got {n})")
+    check_min("nat2pars", "argument", n, 0)
     out: list[int] = []
     work = [n]  # -1 stands for the close of a group
     while work:

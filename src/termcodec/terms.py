@@ -134,6 +134,8 @@ def print_term(t: Term) -> str:
             except ValueError as exc:  # past the interpreter's int digit limit
                 raise CodecError(f"print_term: {exc}") from None
         elif isinstance(item, Compound):
+            if not item.args:
+                raise CodecError(f"print_term: compound {item.functor}() has no arguments")
             parts.append(item.functor + "(")
             stack.append(")")
             for j in range(len(item.args) - 1, -1, -1):

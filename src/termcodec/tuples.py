@@ -13,23 +13,13 @@ C speed.
 
 from __future__ import annotations
 
-from .errors import CodecError
-
-
-def _check_stride(op: str, k: int) -> None:
-    if k < 1:
-        raise CodecError(f"{op}: stride must be >= 1 (got {k})")
-
-
-def _check_nat(op: str, n: int) -> None:
-    if n < 0:
-        raise CodecError(f"{op}: argument must be >= 0 (got {n})")
+from .errors import CodecError, check_min
 
 
 def k_deflate(k: int, n: int) -> int:
     """Collect every k-th bit of n (bit i of the result is bit k*i of n)."""
-    _check_stride("k_deflate", k)
-    _check_nat("k_deflate", n)
+    check_min("k_deflate", "stride", k, 1)
+    check_min("k_deflate", "argument", n, 0)
     if n == 0 or k == 1:
         return n
     bits = bin(n)[:1:-1]  # little-endian digit chars
@@ -38,8 +28,8 @@ def k_deflate(k: int, n: int) -> int:
 
 def k_inflate(k: int, n: int) -> int:
     """Spread the bits of n to every k-th position (bit i moves to bit k*i)."""
-    _check_stride("k_inflate", k)
-    _check_nat("k_inflate", n)
+    check_min("k_inflate", "stride", k, 1)
+    check_min("k_inflate", "argument", n, 0)
     if n == 0 or k == 1:
         return n
     bits = bin(n)[:1:-1].encode()
@@ -66,13 +56,11 @@ def _merge(ns: list[int]) -> int:
     k = len(ns)
     if k == 1:
         return ns[0]
-    width = 0
-    for j, x in enumerate(ns):
-        if x:
-            width = max(width, k * (x.bit_length() - 1) + j + 1)
-    if width == 0:
+    top = max(ns)
+    if top == 0:
         return 0
-    out = bytearray(b"0" * width)
+    # Leading zeros do not change the value: size for the widest member.
+    out = bytearray(b"0" * (k * top.bit_length()))
     for j, x in enumerate(ns):
         if x == 0:
             continue
@@ -84,8 +72,8 @@ def _merge(ns: list[int]) -> int:
 
 def to_tuple(k: int, n: int) -> list[int]:
     """Split n into a k-tuple; member j collects bits j, j+k, j+2k, ... of n."""
-    _check_stride("to_tuple", k)
-    _check_nat("to_tuple", n)
+    check_min("to_tuple", "stride", k, 1)
+    check_min("to_tuple", "argument", n, 0)
     return _split(k, n)
 
 
@@ -94,7 +82,7 @@ def from_tuple(ns: list[int]) -> int:
     if len(ns) == 0:
         raise CodecError("from_tuple: tuple must have at least one member")
     for x in ns:
-        _check_nat("from_tuple", x)
+        check_min("from_tuple", "argument", x, 0)
     return _merge(ns)
 
 

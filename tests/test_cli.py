@@ -170,6 +170,21 @@ def test_stats_reports_ratios(capsys, sig_file):
     assert lines[5].startswith("ratio min=")
 
 
+def test_stats_output_is_pinned(capsys, sig_file):
+    code, out, err = run(
+        capsys, "stats", "--sig", sig_file, "--bits", "64", "--seed", "1", "--count", "5"
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        "bits=64 chars=137 skeleton=232 ratio=0.4672\n"
+        "bits=64 chars=140 skeleton=238 ratio=0.4571\n"
+        "bits=61 chars=114 skeleton=194 ratio=0.5351\n"
+        "bits=61 chars=142 skeleton=246 ratio=0.4296\n"
+        "bits=64 chars=118 skeleton=204 ratio=0.5424\n"
+        "ratio min=0.4296 max=0.5424 mean=0.4863\n"
+    )
+
+
 def test_cli_roundtrip_random_terms(capsys):
     """skeleton-encode piped into skeleton-decode is the identity on term text.
 

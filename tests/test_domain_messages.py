@@ -1,0 +1,56 @@
+"""Every numeric minimum of the library reports the same message shape:
+"<op>: <what> must be >= <least> (got <value>)"."""
+
+import random
+
+import pytest
+
+from termcodec import (
+    CodecError,
+    cons,
+    decons,
+    from_bbase,
+    from_tuple,
+    k_deflate,
+    k_inflate,
+    nat2nats,
+    nat2pars,
+    nat2term,
+    ranterm,
+    to_bbase,
+    to_tuple,
+)
+
+from conftest import SIG_FG_AB
+
+
+@pytest.mark.parametrize(
+    "function,args,message",
+    [
+        (k_deflate, (0, 5), "k_deflate: stride must be >= 1 (got 0)"),
+        (k_deflate, (2, -1), "k_deflate: argument must be >= 0 (got -1)"),
+        (k_inflate, (0, 5), "k_inflate: stride must be >= 1 (got 0)"),
+        (k_inflate, (3, -2), "k_inflate: argument must be >= 0 (got -2)"),
+        (to_tuple, (0, 5), "to_tuple: stride must be >= 1 (got 0)"),
+        (to_tuple, (2, -1), "to_tuple: argument must be >= 0 (got -1)"),
+        (to_tuple, (-1, -1), "to_tuple: stride must be >= 1 (got -1)"),
+        (from_tuple, ([1, -3, 2],), "from_tuple: argument must be >= 0 (got -3)"),
+        (from_bbase, (1, [0]), "from_bbase: base must be >= 2 (got 1)"),
+        (to_bbase, (1, 5), "to_bbase: base must be >= 2 (got 1)"),
+        (to_bbase, (2, -1), "to_bbase: argument must be >= 0 (got -1)"),
+        (to_bbase, (26, -7), "to_bbase: argument must be >= 0 (got -7)"),
+        (cons, (-1, 0), "cons: x must be >= 0 (got -1)"),
+        (cons, (0, -2), "cons: y must be >= 0 (got -2)"),
+        (cons, (-1, -2), "cons: x must be >= 0 (got -1)"),
+        (decons, (0,), "decons: argument must be >= 1 (got 0)"),
+        (nat2nats, (-1,), "nat2nats: argument must be >= 0 (got -1)"),
+        (nat2pars, (-1,), "nat2pars: argument must be >= 0 (got -1)"),
+        (nat2term, (SIG_FG_AB, -1), "nat2term: code must be >= 0 (got -1)"),
+        (ranterm, (SIG_FG_AB, 0, random.Random(0)), "ranterm: bits must be >= 1 (got 0)"),
+        (ranterm, (SIG_FG_AB, -3, random.Random(0)), "ranterm: bits must be >= 1 (got -3)"),
+    ],
+)
+def test_numeric_minimum_messages(function, args, message):
+    with pytest.raises(CodecError) as info:
+        function(*args)
+    assert str(info.value) == message

@@ -227,6 +227,22 @@ def test_term_code_rejects_non_term_skeletons():
         code2term(1, ["a"])
 
 
+@pytest.mark.parametrize(
+    "term",
+    [
+        Compound("f", ()),
+        Compound("g", (Const("a"), Compound("f", ()))),
+        Compound("g", (Compound("g", (Compound("f", ()), Var("X"))), Const("a"))),
+    ],
+)
+@pytest.mark.parametrize("encode", [term2bitpars, term2code, term2inj_code])
+def test_encoders_reject_compounds_without_arguments(encode, term):
+    """A compound needs a functor and at least one argument: the decoders
+    reject a group without one, so the encoders must not emit it."""
+    with pytest.raises(CodecError, match=r"term2bitpars: compound f\(\) has no arguments"):
+        encode(term)
+
+
 def test_term_code_roundtrip_on_corpus():
     """10^4 random terms; the skeleton code re-inflates to the same skeleton.
 

@@ -48,6 +48,21 @@ def test_print_canonical():
     assert print_term(Const(7)) == "7"
 
 
+@pytest.mark.parametrize(
+    "term",
+    [
+        Compound("f", ()),
+        Compound("g", (Const("a"), Compound("f", ()))),
+        Compound("g", (Compound("g", (Compound("f", ()), Var("X"))), Const("a"))),
+    ],
+)
+def test_print_rejects_compounds_without_arguments(term):
+    """f() is not term text (parse_term rejects it), so print_term must not
+    produce it, at the top or nested."""
+    with pytest.raises(CodecError, match=r"print_term: compound f\(\) has no arguments"):
+        print_term(term)
+
+
 def test_print_parse_roundtrip_on_random_corpus():
     for t in random_terms(SIG_FG_AB, 300, seed=5):
         assert parse_term(print_term(t)) == t
