@@ -53,7 +53,7 @@ def to_bbase(base: int, n: int) -> list[int]:
     """The unique digit sequence whose from_bbase value is n; empty iff n == 0."""
     check_min("to_bbase", "base", base, 2)
     check_min("to_bbase", "argument", n, 0)
-    if base == 2 and isinstance(n, int):
+    if base == 2:
         return list(bin(n + 1)[:2:-1].encode().translate(_CHAR_DIGITS))
     digits = []
     while n > 0:

@@ -1,4 +1,4 @@
-"""Exception types and the numeric-minimum check shared across the codecs."""
+"""Exception types and the numeric check shared across the codecs."""
 
 from __future__ import annotations
 
@@ -20,6 +20,8 @@ class SignatureError(CodecError):
 
 
 def check_min(op: str, what: str, value: int, least: int) -> None:
-    """Raise CodecError unless value >= least; the one numeric-minimum check."""
+    """Raise CodecError unless value is an int (bool counts) >= least."""
+    if not isinstance(value, int):
+        raise CodecError(f"{op}: {what} must be an integer (got {value!r})")
     if value < least:
         raise CodecError(f"{op}: {what} must be >= {least} (got {value})")

@@ -21,31 +21,8 @@ from __future__ import annotations
 from .bbase import _as_bits, from_bbase, to_bbase
 from .errors import CodecError, check_min
 from .natbits import cons, decons
-from .terms import SYMBOL_NAME, VAR_NAME, Compound, Const, Term, Var
+from .terms import Atom, Compound, Const, Term, Var, _leaf, _leaf_atom
 from .tuples import _merge, _split, from_tuple, to_tuple
-
-Atom = str | int
-
-
-def _leaf_atom(t: Term) -> Atom:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Const):
-        return t.symbol
-    raise CodecError(f"term2bitpars: not a term: {t!r}")
-
-
-def _atom_term(a: Atom) -> Term:
-    if isinstance(a, int):
-        if a < 0:
-            raise CodecError(f"bitpars2term: negative integer leaf {a}")
-        return Const(a)
-    if isinstance(a, str):
-        if VAR_NAME.match(a):
-            return Var(a)
-        if SYMBOL_NAME.match(a):
-            return Const(a)
-    raise CodecError(f"bitpars2term: {a!r} is not a variable, symbol, or integer")
 
 
 def _functor_name(t: Term) -> str:
@@ -76,15 +53,14 @@ def term2bitpars(t: Term) -> tuple[list[int], list[Atom]]:
 
     A leaf maps to ([0, 1], [leaf]). A compound renders as an outer group
     holding one inner group per member of [functor, arg1, ..., argK]: leaf
-    members render as the empty body, compound members recurse.
+    members render as the empty body, compound members recurse. t renders as
+    the only member of a virtual group, less that member's outer 0 ... 1 if
+    t is a compound. Each distinct leaf object is checked once by _leaf_atom.
     """
-    if not isinstance(t, Compound):
-        return [0, 1], [_leaf_atom(t)]
-    if not t.args:
-        raise CodecError(f"term2bitpars: compound {t.functor}() has no arguments")
-    ps = [0, 0, 1]
-    atoms: list[Atom] = [t.functor]
-    stack = [iter(t.args)]  # the arguments still to render, per open group
+    ps: list[int] = []
+    atoms: list[Atom] = []
+    seen: dict[int, Atom] = {}  # id of each leaf checked -> its atom
+    stack = [iter((t,))]  # the members still to render, per open group
     while stack:
         for arg in stack[-1]:
             if isinstance(arg, Compound):
@@ -94,14 +70,15 @@ def term2bitpars(t: Term) -> tuple[list[int], list[Atom]]:
                 atoms.append(arg.functor)
                 stack.append(iter(arg.args))
                 break
-            atoms.append(_leaf_atom(arg))
+            atom = seen.get(id(arg))
+            if atom is None:
+                atom = seen[id(arg)] = _leaf_atom("term2bitpars", arg)
+            atoms.append(atom)
             ps += (0, 1)
         else:
             stack.pop()
-            ps.append(1)
-            if stack:
-                ps.append(1)  # close of the member wrapping this group
-    return ps, atoms
+            ps += (1, 1) if stack else ()  # group close, then its member's close
+    return (ps[1:-1] if isinstance(t, Compound) else ps), atoms
 
 
 def bitpars2term(ps, atoms) -> Term:
@@ -119,13 +96,13 @@ def bitpars2term(ps, atoms) -> Term:
             raise CodecError(
                 f"bitpars2term: leaf skeleton names 1 atom but {len(atoms)} were given"
             )
-        return _atom_term(atoms[0])
+        return _leaf("bitpars2term", atoms[0])
     if not ps or ps[0] != 0:
         raise CodecError("bitpars2term: skeleton must be a single group opened by 0")
     n = len(ps)
     na = len(atoms)
     # One node per distinct atom; only exact str and int atoms are shared, so
-    # that True and 1 stay distinct and unhashable atoms reach _atom_term.
+    # that True and 1 stay distinct and unhashable atoms reach _leaf.
     leaves: dict[Atom, Term] = {}
     ai = 0
     i = 1
@@ -147,9 +124,9 @@ def bitpars2term(ps, atoms) -> Term:
                 if type(a) is str or type(a) is int:
                     node = leaves.get(a)
                     if node is None:
-                        node = leaves[a] = _atom_term(a)
+                        node = leaves[a] = _leaf("bitpars2term", a)
                 else:
-                    node = _atom_term(a)
+                    node = _leaf("bitpars2term", a)
                 stack[-1].append(node)
             else:
                 stack.append([])

@@ -36,9 +36,36 @@ class Compound:
 
 
 Term = Var | Const | Compound
+Atom = str | int  # what a leaf holds: a variable name, a symbol or an integer
 
 VAR_NAME = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
 SYMBOL_NAME = re.compile(r"[a-z][a-z0-9_]*\Z")
+
+
+def _leaf(op: str, atom: Atom) -> Term:
+    """The leaf atom names by the one leaf rule of term text: [A-Z]... is a
+    variable, [a-z]... a symbol, an int >= 0 a constant; else CodecError."""
+    if isinstance(atom, int):
+        if atom < 0:
+            raise CodecError(f"{op}: negative integer leaf {atom}")
+        return Const(atom)
+    if isinstance(atom, str):
+        if VAR_NAME.match(atom):
+            return Var(atom)
+        if SYMBOL_NAME.match(atom):
+            return Const(atom)
+    raise CodecError(f"{op}: {atom!r} is not a variable, symbol, or integer")
+
+
+def _leaf_atom(op: str, t: Term) -> Atom:
+    """The atom of leaf t; raises CodecError unless _leaf maps it back to t."""
+    if not isinstance(t, (Var, Const)):
+        raise CodecError(f"{op}: not a term: {t!r}")
+    atom = t.name if isinstance(t, Var) else t.symbol
+    if (back := _leaf(op, atom)) != t:
+        raise CodecError(f"{op}: {t!r} reads back as {back!r}")
+    return atom
+
 
 # One token per match; the last alternative takes any other non-space
 # character, which is never a valid token.
@@ -82,19 +109,14 @@ def parse_term(text: str) -> Term:
             continue
         node = leaves.get(token)
         if node is None:
-            first = token[:1]
-            if "A" <= first <= "Z":
-                node = Var(token)
-            elif "a" <= first <= "z":
-                node = Const(token)
-            elif "0" <= first <= "9":
-                try:
-                    node = Const(int(token))
-                except ValueError as exc:  # past the interpreter's int digit limit
-                    raise _parse_error(text, i - 1, str(exc)) from None
-            else:
-                raise _parse_error(text, i - 1, f"expected a term, found {_found(token)}")
-            leaves[token] = node
+            try:
+                atom = int(token) if "0" <= token[:1] <= "9" else token
+                node = leaves[token] = _leaf("parse_term", atom)
+            except CodecError:  # not a leaf token
+                message = f"expected a term, found {_found(token)}"
+                raise _parse_error(text, i - 1, message) from None
+            except ValueError as exc:  # past the interpreter's int digit limit
+                raise _parse_error(text, i - 1, str(exc)) from None
         while True:
             token = tokens[i]
             if frames:
@@ -118,32 +140,31 @@ def print_term(t: Term) -> str:
     """Canonical rendering: functor(arg,...,arg) with no extra whitespace.
 
     Iterative so that decoded terms of arbitrary nesting depth print without
-    exhausting the call stack.
+    exhausting the call stack; t prints as the only argument of a virtual
+    outer compound. Each distinct leaf object is checked once by _leaf_atom.
     """
     parts: list[str] = []
-    stack: list[Term | str] = [t]
+    texts: dict[int, str] = {}  # id of each leaf checked -> its text
+    stack = [iter((t,))]  # the arguments still to print, per open compound
     while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
-        elif isinstance(item, Var):
-            parts.append(item.name)
-        elif isinstance(item, Const):
-            try:
-                parts.append(str(item.symbol))
-            except ValueError as exc:  # past the interpreter's int digit limit
-                raise CodecError(f"print_term: {exc}") from None
-        elif isinstance(item, Compound):
-            if not item.args:
-                raise CodecError(f"print_term: compound {item.functor}() has no arguments")
-            parts.append(item.functor + "(")
-            stack.append(")")
-            for j in range(len(item.args) - 1, -1, -1):
-                stack.append(item.args[j])
-                if j:
-                    stack.append(",")
+        for node in stack[-1]:
+            if isinstance(node, Compound):
+                if not node.args:
+                    raise CodecError(f"print_term: compound {node.functor}() has no arguments")
+                parts.append(node.functor + "(")
+                stack.append(iter(node.args))
+                break
+            text = texts.get(id(node))
+            if text is None:
+                atom = _leaf_atom("print_term", node)
+                try:
+                    text = texts[id(node)] = str(atom)
+                except ValueError as exc:  # past the interpreter's int digit limit
+                    raise CodecError(f"print_term: {exc}") from None
+            parts += (text, ",")
         else:
-            raise CodecError(f"print_term: not a term: {item!r}")
+            stack.pop()
+            parts[-1:] = (")", ",") if stack else ()  # in place of the last comma
     return "".join(parts)
 
 

@@ -1,5 +1,6 @@
 """Every numeric minimum of the library reports the same message shape:
-"<op>: <what> must be >= <least> (got <value>)"."""
+"<op>: <what> must be >= <least> (got <value>)", and an argument that is
+not an int "<op>: <what> must be an integer (got <value>)"."""
 
 import random
 
@@ -54,3 +55,31 @@ def test_numeric_minimum_messages(function, args, message):
     with pytest.raises(CodecError) as info:
         function(*args)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "function,args,message",
+    [
+        (nat2term, (SIG_FG_AB, 7.0), "nat2term: code must be an integer (got 7.0)"),
+        (cons, ("a", 1), "cons: x must be an integer (got 'a')"),
+        (cons, (1, 2.5), "cons: y must be an integer (got 2.5)"),
+        (to_bbase, (2, 5.0), "to_bbase: argument must be an integer (got 5.0)"),
+        (to_bbase, (2.0, 5), "to_bbase: base must be an integer (got 2.0)"),
+        (to_tuple, (2, 5.0), "to_tuple: argument must be an integer (got 5.0)"),
+        (from_tuple, ([1.5, 2],), "from_tuple: argument must be an integer (got 1.5)"),
+        (nat2pars, (3.0,), "nat2pars: argument must be an integer (got 3.0)"),
+        (nat2nats, ("7",), "nat2nats: argument must be an integer (got '7')"),
+        (ranterm, (SIG_FG_AB, 8.0, random.Random(0)),
+         "ranterm: bits must be an integer (got 8.0)"),
+    ],
+)
+def test_numeric_type_messages(function, args, message):
+    with pytest.raises(CodecError) as info:
+        function(*args)
+    assert str(info.value) == message
+
+
+def test_bool_counts_as_an_integer():
+    assert from_bbase(2, [True, 0]) == 4
+    assert to_bbase(2, True) == [0]
+    assert cons(True, False) == 2

@@ -63,6 +63,23 @@ def test_print_rejects_compounds_without_arguments(term):
         print_term(term)
 
 
+@pytest.mark.parametrize(
+    "term,item",
+    [
+        (Compound("f", ("X",)), "'X'"),
+        (Compound("f", (Const("a"), "a")), "'a'"),
+        (Compound("f", (Compound("g", (",",)),)), "','"),
+        ("X", "'X'"),
+    ],
+)
+def test_print_rejects_bare_strings(term, item):
+    """A string is not a term: print_term must not emit it verbatim, where
+    f(X) would re-parse as f(Var('X'))."""
+    with pytest.raises(CodecError) as info:
+        print_term(term)
+    assert str(info.value) == f"print_term: not a term: {item}"
+
+
 def test_print_parse_roundtrip_on_random_corpus():
     for t in random_terms(SIG_FG_AB, 300, seed=5):
         assert parse_term(print_term(t)) == t
