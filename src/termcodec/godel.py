@@ -52,6 +52,8 @@ def term2nat(sig: Signature, t: Term) -> int:
         node = work.pop()
         order.append(node)
         if isinstance(node, Compound):
+            if not isinstance(node.args, tuple):
+                raise CodecError(f"term2nat: arguments of {node.functor} are not a tuple")
             work.extend(node.args)
     codes: list[int] = []
     try:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from .bbase import _as_bits, from_bbase, to_bbase
 from .errors import CodecError, check_min
 from .natbits import cons, decons
-from .terms import Atom, Compound, Const, Term, Var, _leaf, _leaf_atom
+from .terms import Atom, Compound, Const, Term, Var, _bitpars, _leaf
 from .tuples import _merge, _split, from_tuple, to_tuple
 
 
@@ -49,36 +49,12 @@ def _bit_bytes(what: str, ps) -> bytes:
 
 
 def term2bitpars(t: Term) -> tuple[list[int], list[Atom]]:
-    """Split a term into its skeleton and its atom list.
-
-    A leaf maps to ([0, 1], [leaf]). A compound renders as an outer group
-    holding one inner group per member of [functor, arg1, ..., argK]: leaf
-    members render as the empty body, compound members recurse. t renders as
-    the only member of a virtual group, less that member's outer 0 ... 1 if
-    t is a compound. Each distinct leaf object is checked once by _leaf_atom.
-    """
-    ps: list[int] = []
-    atoms: list[Atom] = []
-    seen: dict[int, Atom] = {}  # id of each leaf checked -> its atom
-    stack = [iter((t,))]  # the members still to render, per open group
-    while stack:
-        for arg in stack[-1]:
-            if isinstance(arg, Compound):
-                if not arg.args:
-                    raise CodecError(f"term2bitpars: compound {arg.functor}() has no arguments")
-                ps += (0, 0, 0, 1)  # member open, group open, functor member
-                atoms.append(arg.functor)
-                stack.append(iter(arg.args))
-                break
-            atom = seen.get(id(arg))
-            if atom is None:
-                atom = seen[id(arg)] = _leaf_atom("term2bitpars", arg)
-            atoms.append(atom)
-            ps += (0, 1)
-        else:
-            stack.pop()
-            ps += (1, 1) if stack else ()  # group close, then its member's close
-    return (ps[1:-1] if isinstance(t, Compound) else ps), atoms
+    """Split a term into its skeleton and its atom list: a leaf is
+    ([0, 1], [leaf]), and a compound one group holding a group per member of
+    [functor, arg1, ..., argK], leaf members with an empty body."""
+    ps, atoms = _bitpars("term2bitpars", t, (b"\0\0\0\1", b"\0\1", b"\1\1"))
+    bits = list(b"".join(ps))  # a compound opens its member, its group and its functor's 0 1
+    return (bits[1:-1] if isinstance(t, Compound) else bits), atoms  # less t's member 0 ... 1
 
 
 def bitpars2term(ps, atoms) -> Term:

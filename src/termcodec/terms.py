@@ -136,36 +136,56 @@ def parse_term(text: str) -> Term:
             return node
 
 
+def _bitpars(op: str, t: Term, marks: tuple) -> tuple[list, list[Atom]]:
+    """The one checked walk, iterative: splits t into its skeleton, one of
+    marks (compound open with its functor, leaf, close) per step, and its
+    atoms, functors and leaves left to right. Raises CodecError naming op at
+    any node that would not read back as itself."""
+    open_, leaf, close = marks
+    ps: list = []
+    atoms: list[Atom] = []
+    seen: dict[int, Atom] = {}  # id of each leaf checked -> its atom
+    symbols: set[str] = set()  # functors checked, so each distinct one is matched once
+    stack = [iter((t,))]  # the arguments still to walk, per open compound
+    while stack:
+        for arg in stack[-1]:
+            if isinstance(arg, Compound):
+                functor, args = arg.functor, arg.args
+                if type(functor) is not str or functor not in symbols:
+                    if not (isinstance(functor, str) and SYMBOL_NAME.match(functor)):
+                        raise CodecError(f"{op}: functor {functor!r} is not a symbol")
+                    symbols.add(functor)
+                if not isinstance(args, tuple):
+                    raise CodecError(f"{op}: arguments of {functor} are not a tuple")
+                if not args:
+                    raise CodecError(f"{op}: compound {functor}() has no arguments")
+                ps.append(open_)
+                atoms.append(functor)
+                stack.append(iter(args))
+                break
+            atom = seen.get(id(arg))
+            if atom is None:
+                atom = seen[id(arg)] = _leaf_atom(op, arg)
+            atoms.append(atom)
+            ps.append(leaf)
+        else:
+            stack.pop()
+            if stack:  # t is the only argument of a virtual compound that never closes
+                ps.append(close)
+    return ps, atoms
+
+
 def print_term(t: Term) -> str:
     """Canonical rendering: functor(arg,...,arg) with no extra whitespace.
 
-    Iterative so that decoded terms of arbitrary nesting depth print without
-    exhausting the call stack; t prints as the only argument of a virtual
-    outer compound. Each distinct leaf object is checked once by _leaf_atom.
+    The skeleton is the template: a compound's open is "%s(", a leaf "%s,"
+    and a close "),", and the atoms fill the "%s" slots.
     """
-    parts: list[str] = []
-    texts: dict[int, str] = {}  # id of each leaf checked -> its text
-    stack = [iter((t,))]  # the arguments still to print, per open compound
-    while stack:
-        for node in stack[-1]:
-            if isinstance(node, Compound):
-                if not node.args:
-                    raise CodecError(f"print_term: compound {node.functor}() has no arguments")
-                parts.append(node.functor + "(")
-                stack.append(iter(node.args))
-                break
-            text = texts.get(id(node))
-            if text is None:
-                atom = _leaf_atom("print_term", node)
-                try:
-                    text = texts[id(node)] = str(atom)
-                except ValueError as exc:  # past the interpreter's int digit limit
-                    raise CodecError(f"print_term: {exc}") from None
-            parts += (text, ",")
-        else:
-            stack.pop()
-            parts[-1:] = (")", ",") if stack else ()  # in place of the last comma
-    return "".join(parts)
+    ps, atoms = _bitpars("print_term", t, ("%s(", "%s,", "),"))
+    try:
+        return "".join(ps).replace(",)", ")")[:-1] % tuple(atoms)
+    except ValueError as exc:  # past the interpreter's int digit limit
+        raise CodecError(f"print_term: {exc}") from None
 
 
 @dataclass(frozen=True)

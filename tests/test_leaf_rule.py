@@ -11,13 +11,16 @@ from termcodec import (
     CodecError,
     Compound,
     Const,
+    Signature,
     Var,
     code2term,
     inj_code2term,
     parse_term,
     print_term,
+    term2bitpars,
     term2code,
     term2inj_code,
+    term2nat,
 )
 
 BAD_LEAVES = [
@@ -85,3 +88,40 @@ def test_print_parse_identity(t):
 def test_skeleton_encode_decode_identity(t):
     assert code2term(*term2code(t)) == t
     assert inj_code2term(*term2inj_code(t)) == t
+
+
+# The functor slot takes the symbol branch of the same rule, and a
+# compound's arguments must be a non-empty tuple, as parsing builds them.
+BAD_FUNCTORS = [
+    ("F", "functor 'F' is not a symbol"),
+    ("a b", "functor 'a b' is not a symbol"),
+    (3, "functor 3 is not a symbol"),
+    (["f"], "functor ['f'] is not a symbol"),
+]
+
+ALL_ENCODERS = ENCODERS + [(term2bitpars, "term2bitpars")]
+
+
+@pytest.mark.parametrize("place", [lambda t: t, nested], ids=["top", "nested"])
+@pytest.mark.parametrize("functor,message", BAD_FUNCTORS)
+@pytest.mark.parametrize("encode,op", ALL_ENCODERS)
+def test_encoders_reject_functors_that_are_not_symbols(encode, op, functor, message, place):
+    with pytest.raises(CodecError) as info:
+        encode(place(Compound(functor, (Const("a"),))))
+    assert str(info.value) == f"{op}: {message}"
+
+
+@pytest.mark.parametrize("place", [lambda t: t, nested], ids=["top", "nested"])
+@pytest.mark.parametrize("encode,op", ALL_ENCODERS)
+def test_encoders_reject_arguments_outside_a_tuple(encode, op, place):
+    "f's list of arguments would read back as a tuple, an unequal term."
+    with pytest.raises(CodecError) as info:
+        encode(place(Compound("f", [Const("a")])))
+    assert str(info.value) == f"{op}: arguments of f are not a tuple"
+
+
+def test_term2nat_rejects_arguments_outside_a_tuple():
+    sig = Signature(("X",), ("a",), (("f", 1),))
+    with pytest.raises(CodecError) as info:
+        term2nat(sig, Compound("f", (Compound("f", [Const("a")]),)))
+    assert str(info.value) == "term2nat: arguments of f are not a tuple"

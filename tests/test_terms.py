@@ -1,6 +1,8 @@
 import sys
 
 import pytest
+from hypothesis import given
+import hypothesis.strategies as st
 
 from termcodec import (
     Compound,
@@ -205,3 +207,23 @@ def test_load_signature(tmp_path):
     assert load_signature(str(path)) == Signature(
         ("X", "Y"), ("a",), (("f", 2), ("g", 1))
     )
+
+
+# Text over the term alphabet, whole tokens among it so that some of it
+# parses, plus characters the grammar rejects.
+TERM_TEXT = st.one_of(
+    st.text(st.sampled_from("fgXY_0123456789(),abZ \t\n-$é @")),
+    st.lists(st.sampled_from(["f(", "g(", "a", "X", "42", ",", ")", " ", "é", "F("])).map("".join),
+)
+
+
+@given(TERM_TEXT)
+def test_text_parses_to_a_fixed_point_or_fails_inside_it(text):
+    try:
+        t = parse_term(text)
+    except ParseError as exc:
+        assert 0 <= exc.position <= len(text)
+        return
+    printed = print_term(t)
+    assert parse_term(printed) == t
+    assert print_term(parse_term(printed)) == printed
