@@ -15,81 +15,58 @@ import random
 from functools import lru_cache
 
 from .errors import CodecError, check_min
-from .terms import Compound, Const, Signature, Term, Var, validate_signature
+from .terms import Compound, Const, Signature, Term, Var, _bitpars, _leaf, validate_signature
 from .tuples import _merge, _split
 
 
 @lru_cache(maxsize=None)
 def _table(sig: Signature):
-    """Validate sig once, then index it: the symbol indexes, and the node of
-    every leaf code, shared by all terms decoded under sig."""
+    """Validate sig once, then index it: the code of every leaf atom, the
+    functor indexes, and the node of every leaf code, shared by all terms
+    decoded under sig. One index serves variables and constants because the
+    leaf rule (terms._leaf) never gives a variable and a constant one name."""
     validate_signature(sig)
-    var_ix = {v: i for i, v in enumerate(sig.vars)}
-    const_ix = {c: i for i, c in enumerate(sig.consts)}
+    leaf_ix = {a: i for i, a in enumerate(sig.vars + sig.consts)}
     fun_ix = {fk: i for i, fk in enumerate(sig.funs)}
     leaves = tuple(Var(v) for v in sig.vars) + tuple(Const(c) for c in sig.consts)
-    return var_ix, const_ix, fun_ix, leaves
-
-
-def _symbol(node: Term) -> tuple[str, object]:
-    """What kind of symbol a node carries, and the symbol."""
-    if isinstance(node, Var):
-        return "variable", node.name
-    if isinstance(node, Const):
-        return "constant", node.symbol
-    return "functor", node.functor
+    return leaf_ix, fun_ix, leaves
 
 
 def term2nat(sig: Signature, t: Term) -> int:
-    """Encode a term whose symbols all occur in the signature."""
-    var_ix, const_ix, fun_ix, _ = _table(sig)
-    lv, lvc, lf = sig.lv, sig.lvc, sig.lf
-    # Preorder that visits the last argument first: reversed, it lists every
-    # compound right after its arguments, which come first to last.
-    order: list[Term] = []
-    work = [t]
-    while work:
-        node = work.pop()
-        order.append(node)
-        if isinstance(node, Compound):
-            if not isinstance(node.args, tuple):
-                raise CodecError(f"term2nat: arguments of {node.functor} are not a tuple")
-            work.extend(node.args)
+    """Encode a term whose symbols all occur in the signature.
+
+    Folds the checked walk: a leaf pushes its code, and a close replaces the
+    codes pushed since its compound opened with the compound's code.
+    """
+    leaf_ix, fun_ix, _ = _table(sig)
+    lvc, lf = sig.lvc, sig.lf
+    ps, atoms = _bitpars("term2nat", t, (0, 1, 2))
+    atom_at = iter(atoms).__next__
     codes: list[int] = []
-    try:
-        for node in reversed(order):
-            if isinstance(node, Var):
-                i = var_ix.get(node.name)
-                if i is None:
-                    raise CodecError(f"term2nat: variable {node.name} is not in the signature")
-                codes.append(i)
-            elif isinstance(node, Const):
-                i = const_ix.get(node.symbol)  # int leaves never match declared symbols
-                if i is None:
-                    raise CodecError(f"term2nat: constant {node.symbol!r} is not in the signature")
-                codes.append(lv + i)
-            elif isinstance(node, Compound):
-                k = len(node.args)
-                label = fun_ix.get((node.functor, k))
-                if label is None:
-                    raise CodecError(
-                        f"term2nat: functor {node.functor}/{k} is not in the signature"
-                    )
-                if k == 1:
-                    codes[-1] = lvc + lf * codes[-1] + label
-                else:
-                    payload = _merge(codes[-k:])
-                    del codes[-k:]
-                    codes.append(lvc + lf * payload + label)
+    frames: list[tuple[str, int]] = []  # functor and first code index per open compound
+    for mark in ps:
+        if mark == 1:
+            atom = atom_at()
+            i = leaf_ix.get(atom)
+            if i is None:
+                if isinstance(_leaf("term2nat", atom), Var):
+                    raise CodecError(f"term2nat: variable {atom} is not in the signature")
+                raise CodecError(f"term2nat: constant {atom!r} is not in the signature")
+            codes.append(i)
+        elif mark == 0:
+            frames.append((atom_at(), len(codes)))
+        else:
+            functor, start = frames.pop()
+            k = len(codes) - start
+            label = fun_ix.get((functor, k))
+            if label is None:
+                raise CodecError(f"term2nat: functor {functor}/{k} is not in the signature")
+            if k == 1:
+                codes[-1] = lvc + lf * codes[-1] + label
             else:
-                raise CodecError(f"term2nat: not a term: {node!r}")
-    except TypeError:
-        kind, symbol = _symbol(node)
-        try:
-            hash(symbol)
-        except TypeError:
-            raise CodecError(f"term2nat: {kind} {symbol!r} is not hashable") from None
-        raise
+                payload = _merge(codes[start:])
+                del codes[start:]
+                codes.append(lvc + lf * payload + label)
     return codes[0]
 
 
@@ -99,7 +76,7 @@ def nat2term(sig: Signature, n: int) -> Term:
     Uses explicit work lists: a signature with a unary functor yields
     nesting depth proportional to the code's bitsize.
     """
-    leaves = _table(sig)[3]
+    leaves = _table(sig)[2]
     check_min("nat2term", "code", n, 0)
     lvc, lf = sig.lvc, sig.lf
     if lf == 0 and n >= lvc:
@@ -108,7 +85,8 @@ def nat2term(sig: Signature, n: int) -> Term:
             f"signature declares none (codes beyond {lvc - 1} are undecodable)"
         )
     funs = sig.funs
-    # Preorder of the codes as in term2nat; a compound is kept as lvc + its
+    # Preorder that visits the last argument first: reversed, it lists every
+    # compound right after its arguments. A compound is kept as lvc + its
     # functor index, so every entry is a small int.
     order: list[int] = []
     work = [n]

@@ -44,8 +44,9 @@ SYMBOL_NAME = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 def _leaf(op: str, atom: Atom) -> Term:
     """The leaf atom names by the one leaf rule of term text: [A-Z]... is a
-    variable, [a-z]... a symbol, an int >= 0 a constant; else CodecError."""
-    if isinstance(atom, int):
+    variable, [a-z]... a symbol, an int >= 0 a constant; else CodecError.
+    A bool is not an int here: True would print as the variable True."""
+    if type(atom) is int:
         if atom < 0:
             raise CodecError(f"{op}: negative integer leaf {atom}")
         return Const(atom)

@@ -122,9 +122,9 @@ def test_encode_rejects_nested_foreign_symbols(sig_fg_ab, term, message):
 @pytest.mark.parametrize(
     "leaf,message",
     [
-        (Const([1]), r"constant \[1\] is not hashable"),
-        (Var(["x"]), r"variable \['x'\] is not hashable"),
-        (Compound(["f"], (Const("a"), Var("X"))), r"functor \['f'\] is not hashable"),
+        (Const([1]), r"^term2nat: \[1\] is not a variable, symbol, or integer$"),
+        (Var(["x"]), r"^term2nat: \['x'\] is not a variable, symbol, or integer$"),
+        (Compound(["f"], (Const("a"), Var("X"))), r"^term2nat: functor \['f'\] is not a symbol$"),
     ],
 )
 @pytest.mark.parametrize("nested", [False, True])

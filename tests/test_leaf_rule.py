@@ -1,7 +1,9 @@
 """The one leaf rule of term text: [A-Z]... is a variable, [a-z]... a symbol
 and an integer >= 0 a constant. Parsing and the skeleton decoders build
-leaves by it, so printing and the skeleton encoders must reject any leaf
-that would read back as a different one."""
+leaves by it, so printing and every encoder must reject any leaf that would
+read back as a different one."""
+
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -29,12 +31,18 @@ BAD_LEAVES = [
     (Const("a b"), "'a b' is not a variable, symbol, or integer"),
     (Const(-1), "negative integer leaf -1"),
     (Var(["x"]), "['x'] is not a variable, symbol, or integer"),
+    (Const(True), "True is not a variable, symbol, or integer"),
 ]
+
+# Every symbol of the well-formed terms below is declared, so term2nat fails
+# only where the walk it shares with the other encoders does.
+SIG = Signature(("X",), ("a",), (("f", 1), ("f", 2), ("g", 1)))
 
 ENCODERS = [
     (print_term, "print_term"),
     (term2code, "term2bitpars"),
     (term2inj_code, "term2bitpars"),
+    (partial(term2nat, SIG), "term2nat"),
 ]
 
 

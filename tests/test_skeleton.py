@@ -324,8 +324,12 @@ def test_bitpars_decode_shares_equal_leaves():
 
 
 def test_bitpars_decode_keeps_true_and_1_apart():
-    t = bitpars2term([0, 0, 1, 0, 1, 0, 1, 1], ["f", True, 1])
-    assert [type(leaf.symbol) for leaf in t.args] == [bool, int]
+    "True is no leaf (it would print as the variable True); 1 stays an int."
+    with pytest.raises(CodecError) as info:
+        bitpars2term([0, 0, 1, 0, 1, 0, 1, 1], ["f", 1, True])
+    assert str(info.value) == "bitpars2term: True is not a variable, symbol, or integer"
+    t = bitpars2term([0, 0, 1, 0, 1, 1], ["f", 1])
+    assert type(t.args[0].symbol) is int
 
 
 @pytest.mark.parametrize("atom", [[1], -3, "a b", 1.5, None])
