@@ -15,7 +15,7 @@ atom strings use them.
 
 from __future__ import annotations
 
-from .errors import CodecError, check_min
+from .errors import CodecError, check_iterable, check_min
 
 _A = ord("a")
 _Z = ord("z")
@@ -37,12 +37,15 @@ def _as_bits(seq) -> bytes | None:
 def from_bbase(base: int, digits: list[int]) -> int:
     """Value of a least-significant-first digit sequence in bijective base-k."""
     check_min("from_bbase", "base", base, 2)
-    if base == 2 and isinstance(digits, (list, tuple)):
+    digits = check_iterable("from_bbase", "digits", digits)
+    if base == 2:
         raw = _as_bits(digits)
         if raw is not None:
             return int(b"1" + raw[::-1].translate(_DIGIT_CHARS), 2) - 1
     r = 0
     for d in reversed(digits):
+        if not isinstance(d, int):
+            raise CodecError(f"from_bbase: digit must be an integer (got {d!r})")
         if not 0 <= d < base:
             raise CodecError(f"from_bbase: digit {d} is outside [0, {base - 1}]")
         r = r * base + d + 1
@@ -69,6 +72,8 @@ def to_bbase(base: int, n: int) -> list[int]:
 
 def string2nat(s: str) -> int:
     """Encode a string over 'a'..'z' (first character least significant)."""
+    if not isinstance(s, str):
+        raise CodecError(f"string2nat: argument must be a string (got {s!r})")
     digits = []
     for i, ch in enumerate(s):
         d = ord(ch) - _A

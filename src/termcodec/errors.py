@@ -1,4 +1,4 @@
-"""Exception types and the numeric check shared across the codecs."""
+"""Exception types and the argument checks shared across the codecs."""
 
 from __future__ import annotations
 
@@ -25,3 +25,14 @@ def check_min(op: str, what: str, value: int, least: int) -> None:
         raise CodecError(f"{op}: {what} must be an integer (got {value!r})")
     if value < least:
         raise CodecError(f"{op}: {what} must be >= {least} (got {value})")
+
+
+def check_iterable(op: str, what: str, value) -> list | tuple:
+    """value if a list or tuple, else its items listed once; CodecError unless iterable."""
+    if isinstance(value, (list, tuple)):
+        return value
+    try:
+        items = iter(value)
+    except TypeError:
+        raise CodecError(f"{op}: {what} must be iterable (got {value!r})") from None
+    return list(items)

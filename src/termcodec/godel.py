@@ -19,8 +19,17 @@ from .terms import Compound, Const, Signature, Term, Var, _bitpars, _leaf, valid
 from .tuples import _merge, _split
 
 
-@lru_cache(maxsize=None)
 def _table(sig: Signature):
+    """The cached _index of sig, or the SignatureError of a sig it cannot hash."""
+    try:
+        return _index(sig)
+    except TypeError:
+        validate_signature(sig)
+        raise
+
+
+@lru_cache(maxsize=None)
+def _index(sig: Signature):
     """Validate sig once, then index it: the code of every leaf atom, the
     functor indexes, and the node of every leaf code, shared by all terms
     decoded under sig. One index serves variables and constants because the

@@ -19,7 +19,7 @@ All tree walks use explicit stacks; skeleton depth can reach len(ps) // 2.
 from __future__ import annotations
 
 from .bbase import _as_bits, from_bbase, to_bbase
-from .errors import CodecError, check_min
+from .errors import CodecError, check_iterable, check_min
 from .natbits import cons, decons
 from .terms import Atom, Compound, Const, Term, Var, _bitpars, _leaf
 from .tuples import _merge, _split, from_tuple, to_tuple
@@ -36,9 +36,8 @@ def _functor_name(t: Term) -> str:
 
 
 def _bit_bytes(what: str, ps) -> bytes:
-    """The symbols of ps as bytes 0 and 1; raises CodecError naming the first
-    symbol that is not 0 or 1 (what is the message's prefix)."""
-    ps = list(ps)
+    """The symbols of the list or tuple ps as bytes 0 and 1; raises CodecError
+    naming the first symbol that is not 0 or 1 (what is the message's prefix)."""
     raw = _as_bits(ps)
     if raw is None:
         for s in ps:
@@ -65,8 +64,9 @@ def bitpars2term(ps, atoms) -> Term:
     exactly one atom per leaf slot. Equal leaves of the result are one
     shared node.
     """
+    ps = check_iterable("bitpars2term", "skeleton", ps)
     ps = _bit_bytes("bitpars2term: skeleton symbol", ps)
-    atoms = list(atoms)
+    atoms = check_iterable("bitpars2term", "atoms", atoms)
     if ps == b"\x00\x01":
         if len(atoms) != 1:
             raise CodecError(
@@ -160,10 +160,8 @@ def nat2nats(n: int) -> list[int]:
 
 def nats2nat(ns) -> int:
     """Inverse of nat2nats."""
-    ns = list(ns)
-    if not ns:
-        return 0
-    return cons(len(ns) - 1, from_tuple(ns))
+    ns = check_iterable("nats2nat", "list", ns)
+    return cons(len(ns) - 1, from_tuple(ns)) if ns else 0
 
 
 def nat2pars(n: int) -> list[int]:
@@ -196,7 +194,7 @@ def nat2pars(n: int) -> list[int]:
 
 def pars2nat(ps) -> int:
     """Inverse of nat2pars on single balanced groups."""
-    ps = _bit_bytes("pars2nat: symbol", ps)
+    ps = _bit_bytes("pars2nat: symbol", check_iterable("pars2nat", "sequence", ps))
     if not ps:
         raise CodecError("pars2nat: empty sequence")
     if ps[0] != 0:

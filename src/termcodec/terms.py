@@ -96,6 +96,8 @@ def parse_term(text: str) -> Term:
 
     Equal leaves of the result are one shared node.
     """
+    if not isinstance(text, str):
+        raise CodecError(f"parse_term: text must be a string (got {text!r})")
     tokens = _TOKEN.findall(text)
     tokens += ("", "")  # end of input, and one more to look ahead from it
     leaves: dict[str, Term] = {}
@@ -220,6 +222,9 @@ class Signature:
 def validate_signature(sig: Signature) -> None:
     """Check every Signature invariant; raises SignatureError naming the
     violated one."""
+    if not (isinstance(sig, Signature)
+            and all(isinstance(field, tuple) for field in vars(sig).values())):
+        raise SignatureError(f"expected a Signature of tuples (got {sig!r})")
     if len(sig.vars) + len(sig.consts) == 0:
         raise SignatureError(
             "signature must declare at least one variable or constant"

@@ -13,30 +13,21 @@ C speed.
 
 from __future__ import annotations
 
-from .errors import CodecError, check_min
+from .errors import CodecError, check_iterable, check_min
 
 
 def k_deflate(k: int, n: int) -> int:
-    """Collect every k-th bit of n (bit i of the result is bit k*i of n)."""
+    """Member 0 of to_tuple(k, n): bit i of the result is bit k*i of n."""
     check_min("k_deflate", "stride", k, 1)
     check_min("k_deflate", "argument", n, 0)
-    if n == 0 or k == 1:
-        return n
-    bits = bin(n)[:1:-1]  # little-endian digit chars
-    return int(bits[::k][::-1], 2)
+    return _split(k, n)[0] if k < n.bit_length() else n & 1  # else only bit 0 is kept
 
 
 def k_inflate(k: int, n: int) -> int:
-    """Spread the bits of n to every k-th position (bit i moves to bit k*i)."""
+    """from_tuple of n and k - 1 zeros: bit i of n moves to bit k*i."""
     check_min("k_inflate", "stride", k, 1)
     check_min("k_inflate", "argument", n, 0)
-    if n == 0 or k == 1:
-        return n
-    bits = bin(n)[:1:-1].encode()
-    out = bytearray(b"0" * (k * (len(bits) - 1) + 1))
-    out[::k] = bits
-    out.reverse()
-    return int(out, 2)
+    return _merge([n] + [0] * (k - 1)) if n > 1 else n  # 0 and 1 stay, whatever k
 
 
 def _split(k: int, n: int) -> list[int]:
@@ -79,6 +70,7 @@ def to_tuple(k: int, n: int) -> list[int]:
 
 def from_tuple(ns: list[int]) -> int:
     """Merge a tuple back into one natural by interleaving members' bits."""
+    ns = check_iterable("from_tuple", "tuple", ns)
     if len(ns) == 0:
         raise CodecError("from_tuple: tuple must have at least one member")
     for x in ns:

@@ -1,8 +1,19 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
 from termcodec import Signature, ranterm
+
+
+# The one plain reference per codec, written from the paper's definitions;
+# it keeps terms as canonical text and signatures as (vars, consts, funs).
+_spec = importlib.util.spec_from_file_location(
+    "reference", Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+)
+ref = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ref)
 
 # the three signatures used across the worked examples
 SIG_FG_A = Signature(("X", "Y"), ("a",), (("f", 2), ("g", 1)))

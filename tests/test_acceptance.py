@@ -33,7 +33,7 @@ from termcodec import (
 )
 from termcodec.cli import main
 
-from conftest import SIG_FG_A, SIG_FG_AB, SIG_IMP
+from conftest import SIG_FG_A, SIG_FG_AB, SIG_IMP, ref
 
 
 def test_c01_inflate_deflate_value_and_speed():
@@ -138,24 +138,10 @@ def test_c13_bijectivity_suites():
     print(f"C13 PASS: decode/encode identity on [0,10^4] x 5 codecs in {elapsed:.1f}s")
 
 
-def _digit_matrix_tuple(k: int, n: int) -> list[int]:
-    digits = []
-    while n:
-        digits.append(n % (1 << k))
-        n >>= k
-    members = []
-    for j in range(k):
-        m = 0
-        for i, d in enumerate(digits):
-            m |= ((d >> j) & 1) << i
-        members.append(m)
-    return members
-
-
 def test_c14_tuple_oracle_equivalence():
     for k in range(1, 5):
         for n in range(2**12):
-            members = _digit_matrix_tuple(k, n)
+            members = ref.to_tuple(k, n)
             assert to_tuple(k, n) == members
             assert from_tuple(members) == n
     print("C14 PASS: tuple codec matches the base-2^k digit-matrix oracle")

@@ -1,6 +1,8 @@
 """Every numeric minimum of the library reports the same message shape:
 "<op>: <what> must be >= <least> (got <value>)", and an argument that is
-not an int "<op>: <what> must be an integer (got <value>)"."""
+not an int "<op>: <what> must be an integer (got <value>)". A sequence
+argument that is not iterable reads "<op>: <what> must be iterable (got
+<value>)", and a signature that is not one raises SignatureError."""
 
 import random
 
@@ -8,6 +10,10 @@ import pytest
 
 from termcodec import (
     CodecError,
+    Const,
+    Signature,
+    SignatureError,
+    bitpars2term,
     cons,
     decons,
     from_bbase,
@@ -17,7 +23,12 @@ from termcodec import (
     nat2nats,
     nat2pars,
     nat2term,
+    nats2nat,
+    parse_term,
+    pars2nat,
     ranterm,
+    string2nat,
+    term2nat,
     to_bbase,
     to_tuple,
 )
@@ -83,3 +94,48 @@ def test_bool_counts_as_an_integer():
     assert from_bbase(2, [True, 0]) == 4
     assert to_bbase(2, True) == [0]
     assert cons(True, False) == 2
+
+
+@pytest.mark.parametrize(
+    "function,args,message",
+    [
+        (from_bbase, (3, [0.5]), "from_bbase: digit must be an integer (got 0.5)"),
+        (from_bbase, (2, [1.0, 0]), "from_bbase: digit must be an integer (got 1.0)"),
+        (from_bbase, (2, None), "from_bbase: digits must be iterable (got None)"),
+        (from_tuple, (None,), "from_tuple: tuple must be iterable (got None)"),
+        (from_tuple, (5,), "from_tuple: tuple must be iterable (got 5)"),
+        (nats2nat, (None,), "nats2nat: list must be iterable (got None)"),
+        (pars2nat, (None,), "pars2nat: sequence must be iterable (got None)"),
+        (bitpars2term, (None, []), "bitpars2term: skeleton must be iterable (got None)"),
+        (bitpars2term, ([0, 1], None), "bitpars2term: atoms must be iterable (got None)"),
+        (string2nat, (5,), "string2nat: argument must be a string (got 5)"),
+        (parse_term, (None,), "parse_term: text must be a string (got None)"),
+    ],
+)
+def test_sequence_and_text_messages(function, args, message):
+    with pytest.raises(CodecError) as info:
+        function(*args)
+    assert str(info.value) == message
+
+
+def test_iterables_are_listed_once():
+    assert from_bbase(2, (d for d in [0, 1])) == 5
+    assert from_tuple(iter([2, 1, 2])) == 42
+    assert nats2nat(iter([7, 7, 2])) == 2012
+
+
+@pytest.mark.parametrize(
+    "function,args,message",
+    [
+        (nat2term, (Signature(["X"], [], []), 0),
+         "expected a Signature of tuples (got Signature(vars=['X'], consts=[], funs=[]))"),
+        (nat2term, (Signature(("X",), ("a",), [("f", 1)]), 0),
+         "expected a Signature of tuples "
+         "(got Signature(vars=('X',), consts=('a',), funs=[('f', 1)]))"),
+        (term2nat, (None, Const("a")), "expected a Signature of tuples (got None)"),
+    ],
+)
+def test_signature_messages(function, args, message):
+    with pytest.raises(SignatureError) as info:
+        function(*args)
+    assert str(info.value) == message

@@ -23,7 +23,7 @@ from termcodec import (
     term2inj_code,
 )
 
-from conftest import SIG_FG_AB, random_terms
+from conftest import SIG_FG_AB, random_terms, ref
 
 PS_18 = [0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 1, 1, 1, 0, 1, 0, 1, 1]
 PS_2012 = [0, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 1, 0, 1, 1, 1]
@@ -57,32 +57,18 @@ def test_bitpars_leaf_and_flat_compound():
     )
 
 
-def ref_bitpars(t):
-    "Reference: the recursive reading of the skeleton grammar."
-    if not isinstance(t, Compound):
-        payload = t.name if isinstance(t, Var) else t.symbol
-        return [0, 1], [payload]
-    ps, atoms = [], []
-
-    def render(node):
-        ps.append(0)
-        members = [Const(node.functor), *node.args]
-        for m in members:
-            ps.append(0)
-            if isinstance(m, Compound):
-                render(m)
-            else:
-                atoms.append(m.name if isinstance(m, Var) else m.symbol)
-            ps.append(1)
-        ps.append(1)
-
-    render(t)
-    return ps, atoms
-
-
 def test_bitpars_matches_recursive_reference():
     for t in random_terms(SIG_FG_AB, 400, seed=23):
-        assert term2bitpars(t) == ref_bitpars(t)
+        assert term2bitpars(t) == ref.term2bitpars(print_term(t))
+
+
+def test_codes_match_the_reference():
+    # 24-bit codes keep the reference's term2code cheap: it pads every
+    # member of a group to the widest
+    for t in random_terms(SIG_FG_AB, 300, seed=31, max_bits=24):
+        text = print_term(t)
+        assert term2code(t) == ref.term2code(text)
+        assert term2inj_code(t) == ref.term2inj_code(text)
 
 
 def test_bitpars_shape_invariants():

@@ -1,15 +1,10 @@
 """Differential tests of the skeleton-layer kernels against plain references.
 
-The references below are written from the definitions, one bit or one digit
-at a time and recursively, with nothing shared with the library:
-
-- bijective base-b numeration: the digit loop (one multiply or divide per
-  digit) that bbase used for every base before base 2 moved to binary
-  strings, kept verbatim;
-- cons(x, y) = 2^x * (2y + 1), and its inverse by counting trailing zeros;
-- the k-tuple codec: bit i of n goes to bit i // k of member i mod k;
-- nat2nats(0) = [], nat2nats(cons(k - 1, y)) = the k-tuple of y;
-- nat2pars(n) = 0, nat2pars of each member of nat2nats(n), 1.
+The cons, tuple, list and balanced-sequence references are those of
+bench/reference.py, written from the definitions and sharing nothing with
+the library. Bijective base-b numeration is checked against the digit loop
+(one multiply or divide per digit) that bbase used for every base before
+base 2 moved to binary strings, kept verbatim here.
 """
 
 import random
@@ -25,6 +20,8 @@ from termcodec import (
     pars2nat,
     to_bbase,
 )
+
+from conftest import ref
 
 
 def loop_from_bbase(base, digits):
@@ -49,103 +46,37 @@ def loop_to_bbase(base, n):
     return digits
 
 
-def ref_cons(x, y):
-    return 2**x * (2 * y + 1)
-
-
-def ref_decons(z):
-    x = 0
-    while z % 2 == 0:
-        z //= 2
-        x += 1
-    return x, (z - 1) // 2
-
-
-def ref_to_tuple(k, n):
-    members = [0] * k
-    i = 0
-    while n:
-        members[i % k] += (n % 2) * 2 ** (i // k)
-        n //= 2
-        i += 1
-    return members
-
-
-def ref_from_tuple(ns):
-    k = len(ns)
-    n = 0
-    for j, x in enumerate(ns):
-        i = 0
-        while x:
-            n += (x % 2) * 2 ** (i * k + j)
-            x //= 2
-            i += 1
-    return n
-
-
-def ref_nat2nats(n):
-    if n == 0:
-        return []
-    x, y = ref_decons(n)
-    return ref_to_tuple(x + 1, y)
-
-
-def ref_nats2nat(ns):
-    if not ns:
-        return 0
-    return ref_cons(len(ns) - 1, ref_from_tuple(ns))
-
-
-def ref_nat2pars(n):
-    out = [0]
-    for m in ref_nat2nats(n):
-        out += ref_nat2pars(m)
-    return out + [1]
-
-
-def ref_pars2nat(ps):
-    """The value of one balanced group: the list of its top-level groups."""
-    assert ps[0] == 0 and ps[-1] == 1
-    members, depth, start = [], 0, 1
-    for i in range(1, len(ps) - 1):
-        depth += 1 if ps[i] == 0 else -1
-        if depth == 0:
-            members.append(ref_pars2nat(ps[start : i + 1]))
-            start = i + 1
-    return ref_nats2nat(members)
-
-
 def random_codes(seed, count, max_bits=4096):
     rng = random.Random(seed)
     return [rng.getrandbits(rng.randint(1, max_bits)) for _ in range(count)]
 
 
 def test_references_agree_with_the_worked_examples():
-    assert ref_nat2nats(2012) == [7, 7, 2]  # C10
-    assert ref_nats2nat([7, 7, 2]) == 2012
+    assert ref.nat2nats(2012) == [7, 7, 2]  # C10
+    assert ref.nats2nat([7, 7, 2]) == 2012
     c11 = [0, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 1, 0, 1, 1, 1]
-    assert ref_nat2pars(2012) == c11
-    assert ref_pars2nat(c11) == 2012
+    assert ref.nat2pars(2012) == c11
+    assert ref.pars2nat(c11) == 2012
     assert loop_to_bbase(7, 2012) == [2, 6, 4, 4]  # C6
 
 
 def test_nats_and_pars_exhaustive_below_2_pow_12():
     for n in range(2**12):
-        ns = ref_nat2nats(n)
+        ns = ref.nat2nats(n)
         assert nat2nats(n) == ns
         assert nats2nat(ns) == n
-        ps = ref_nat2pars(n)
+        ps = ref.nat2pars(n)
         assert nat2pars(n) == ps
         assert pars2nat(ps) == n
-        assert ref_pars2nat(ps) == n
+        assert ref.pars2nat(ps) == n
 
 
 def test_nats_and_pars_random_codes_up_to_2_pow_4096():
     for n in random_codes(seed=41, count=150):
-        ns = ref_nat2nats(n)
+        ns = ref.nat2nats(n)
         assert nat2nats(n) == ns
         assert nats2nat(ns) == n
-        ps = ref_nat2pars(n)
+        ps = ref.nat2pars(n)
         assert nat2pars(n) == ps
         assert pars2nat(ps) == n
 
@@ -154,7 +85,7 @@ def test_nats2nat_on_random_lists():
     rng = random.Random(43)
     for _ in range(300):
         ns = [rng.getrandbits(rng.randint(0, 300)) for _ in range(rng.randint(0, 9))]
-        assert nats2nat(ns) == ref_nats2nat(ns)
+        assert nats2nat(ns) == ref.nats2nat(ns)
 
 
 def test_base2_exhaustive_below_2_pow_12():

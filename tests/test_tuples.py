@@ -1,10 +1,13 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 from termcodec import CodecError, from_pair, from_tuple, k_deflate, k_inflate, to_pair, to_tuple
+
+from conftest import ref
 
 
 def test_inflate_deflate_worked_example():
@@ -57,27 +60,13 @@ def test_domain_errors():
         from_tuple([1, -2])
 
 
-def digit_matrix_tuple(k: int, n: int) -> list[int]:
-    "Reference: write n in base 2^k, transpose the digit bit-matrix."
-    digits = []
-    while n:
-        digits.append(n % (1 << k))
-        n >>= k
-    members = []
-    for j in range(k):
-        m = 0
-        for i, d in enumerate(digits):
-            m |= ((d >> j) & 1) << i
-        members.append(m)
-    return members
-
-
-def test_matches_digit_matrix_reference():
-    for k in range(1, 5):
-        for n in range(2**12):
-            members = digit_matrix_tuple(k, n)
-            assert to_tuple(k, n) == members
-            assert from_tuple(members) == n
+def test_stride_kernels_match_the_reference():
+    rng = random.Random(59)
+    codes = [*range(2**12), *(rng.getrandbits(rng.randint(1, 1024)) for _ in range(40))]
+    for k in range(1, 7):
+        for n in codes:
+            assert k_deflate(k, n) == ref.to_tuple(k, n)[0]
+            assert k_inflate(k, n) == ref.from_tuple([n] + [0] * (k - 1))
 
 
 def test_roundtrip_exhaustive():
