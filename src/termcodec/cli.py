@@ -4,7 +4,7 @@ Naturals cross this boundary as decimal strings only. Parenthesis sequences
 cross as strings over '(' and ')'. Atom lists and number lists cross as
 comma-separated tokens; the empty string is the empty list. Results go to
 stdout, diagnostics to stderr, exit status 0 on success and 1 on any domain
-error.
+error or roundtrip mismatch, each reported as one CodecError line.
 """
 
 from __future__ import annotations
@@ -86,8 +86,9 @@ def _roundtrip(args):
         t = nat2term(sig, n)
         m = term2nat(sig, t)
         if m != n:
-            yield f"mismatch at {n}: decoded {print_term(t)}, re-encoded {m}"
-            return 1
+            raise CodecError(
+                f"roundtrip: mismatch at {n}: decoded {print_term(t)}, re-encoded {m}"
+            )
     yield f"ok {args.max + 1} checked"
 
 
@@ -198,20 +199,12 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = _build_parser().parse_args(argv)
-        lines = iter(args.run(args))
-        while True:
-            try:
-                line = next(lines)
-            except StopIteration as stop:  # roundtrip returns 1 after a mismatch
-                return stop.value or 0
+        for line in args.run(args):
             print(line)
+        return 0
     except (CodecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 from .bbase import _as_bits, from_bbase, to_bbase
 from .errors import CodecError, check_iterable, check_min
-from .natbits import cons, decons
 from .terms import Atom, Compound, Const, Term, Var, _bitpars, _leaf
-from .tuples import _merge, _split, from_tuple, to_tuple
+from .tuples import _merge, _split
 
 
 def _functor_name(t: Term) -> str:
@@ -145,23 +144,33 @@ def inj_code2term(n: int, atoms) -> Term:
     return bitpars2term(to_bbase(2, n), atoms)
 
 
+def _nats(x: int) -> list[int]:
+    """nat2nats without its checks: x >= 1 must hold."""
+    k = (x & -x).bit_length()  # the list's length, one more than the exponent of 2
+    return _split(k, x >> k)
+
+
+def _nat(ns: list[int]) -> int:
+    """nats2nat without its checks: ns must be a non-empty list of naturals."""
+    return ((_merge(ns) << 1) | 1) << (len(ns) - 1)
+
+
 def nat2nats(n: int) -> list[int]:
     """Map a natural to a list of naturals, bijectively.
 
-    0 is the empty list; otherwise decons splits n into a length part and a
-    content part, and the tuple codec splits the content into the items.
+    0 is the empty list; otherwise the exponent of 2 in n is the length less
+    one, and the tuple codec splits the rest of n into the items.
     """
     check_min("nat2nats", "argument", n, 0)
-    if n == 0:
-        return []
-    length_less_one, content = decons(n)
-    return to_tuple(length_less_one + 1, content)
+    return _nats(n) if n else []
 
 
 def nats2nat(ns) -> int:
     """Inverse of nat2nats."""
     ns = check_iterable("nats2nat", "list", ns)
-    return cons(len(ns) - 1, from_tuple(ns)) if ns else 0
+    for x in ns:
+        check_min("nats2nat", "item", x, 0)
+    return _nat(ns) if ns else 0
 
 
 def nat2pars(n: int) -> list[int]:
@@ -181,14 +190,10 @@ def nat2pars(n: int) -> list[int]:
             continue
         out.append(0)
         work.append(-1)
-        if x:  # nat2nats(x) without its checks
-            k = (x & -x).bit_length()  # the list's length, decons(x)[0] + 1
-            if k == 1:
-                work.append(x >> 1)
-            else:
-                members = _split(k, x >> k)
-                members.reverse()
-                work += members
+        if x:
+            members = _nats(x)
+            members.reverse()
+            work += members
     return out
 
 
@@ -205,14 +210,8 @@ def pars2nat(ps) -> int:
         if ps[i] == 0:
             stack.append([])
             continue
-        kids = stack.pop()  # nats2nat(kids) without its checks
-        k = len(kids)
-        if k == 0:
-            value = 0
-        elif k == 1:
-            value = (kids[0] << 1) | 1
-        else:
-            value = ((_merge(kids) << 1) | 1) << (k - 1)
+        kids = stack.pop()
+        value = _nat(kids) if kids else 0
         if not stack:
             if i + 1 != n:
                 raise CodecError(f"pars2nat: {n - i - 1} trailing symbols after the closing 1")

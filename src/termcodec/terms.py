@@ -40,6 +40,7 @@ Atom = str | int  # what a leaf holds: a variable name, a symbol or an integer
 
 VAR_NAME = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
 SYMBOL_NAME = re.compile(r"[a-z][a-z0-9_]*\Z")
+MAX_ARITY = 65_536  # a larger declared arity would let one small code build huge terms
 
 
 def _leaf(op: str, atom: Atom) -> Term:
@@ -247,6 +248,8 @@ def validate_signature(sig: Signature) -> None:
             raise SignatureError(f"invalid functor name {name!r} (expected [a-z][a-z0-9_]*)")
         if not isinstance(arity, int) or arity < 1:
             raise SignatureError(f"functor {name} has arity {arity}; arity must be >= 1")
+        if arity > MAX_ARITY:
+            raise SignatureError(f"functor {name} has arity {arity}; arity must be <= {MAX_ARITY}")
     if len(set(sig.funs)) != len(sig.funs):
         raise SignatureError("duplicate functor/arity pairs")
 
@@ -275,7 +278,7 @@ def parse_signature(text: str) -> Signature:
         else:
             for tok in tokens:
                 name, sep, arity = tok.partition("/")
-                if not sep or not arity.isdigit():
+                if not sep or not (arity.isascii() and arity.isdigit()):
                     raise SignatureError(
                         f"line {lineno}: functor {tok!r} must be written name/arity"
                     )

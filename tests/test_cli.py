@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from termcodec import print_term, ranterm
+from termcodec import cli, print_term, ranterm
 from termcodec.cli import main
 
 from conftest import SIG_FG_AB
@@ -156,6 +156,14 @@ def test_roundtrip_subcommand(capsys, sig_file):
     assert (code, out) == (0, "ok 1 checked\n")
     code, out, _ = run(capsys, "roundtrip", "--sig", sig_file, "--max", "500")
     assert (code, out) == (0, "ok 501 checked\n")
+
+
+def test_roundtrip_mismatch_is_one_error_line(capsys, monkeypatch, sig_file):
+    encode = cli.term2nat
+    monkeypatch.setattr(cli, "term2nat", lambda sig, t: encode(sig, t) + 1)
+    code, out, err = run(capsys, "roundtrip", "--sig", sig_file, "--max", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: roundtrip: mismatch at 0: decoded X, re-encoded 1\n"
 
 
 def test_stats_reports_ratios(capsys, sig_file):

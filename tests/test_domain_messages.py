@@ -56,6 +56,7 @@ from conftest import SIG_FG_AB
         (cons, (-1, -2), "cons: x must be >= 0 (got -1)"),
         (decons, (0,), "decons: argument must be >= 1 (got 0)"),
         (nat2nats, (-1,), "nat2nats: argument must be >= 0 (got -1)"),
+        (nats2nat, ([-1],), "nats2nat: item must be >= 0 (got -1)"),
         (nat2pars, (-1,), "nat2pars: argument must be >= 0 (got -1)"),
         (nat2term, (SIG_FG_AB, -1), "nat2term: code must be >= 0 (got -1)"),
         (ranterm, (SIG_FG_AB, 0, random.Random(0)), "ranterm: bits must be >= 1 (got 0)"),
@@ -80,6 +81,7 @@ def test_numeric_minimum_messages(function, args, message):
         (from_tuple, ([1.5, 2],), "from_tuple: argument must be an integer (got 1.5)"),
         (nat2pars, (3.0,), "nat2pars: argument must be an integer (got 3.0)"),
         (nat2nats, ("7",), "nat2nats: argument must be an integer (got '7')"),
+        (nats2nat, ([1.5],), "nats2nat: item must be an integer (got 1.5)"),
         (ranterm, (SIG_FG_AB, 8.0, random.Random(0)),
          "ranterm: bits must be an integer (got 8.0)"),
     ],

@@ -108,6 +108,21 @@ def test_bitpars_decode_errors():
         bitpars2term([0, 1], [-3])
 
 
+@pytest.mark.parametrize(
+    "ps,atoms,message",
+    [
+        ([0, 0, 1, 0], ["f"], "skeleton ends inside an open group"),
+        ([0, 0, 1, 0, 0, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1], ["f", "g", "a", "g", "b"],
+         "unbalanced skeleton"),
+        ([0, 0, 1, 0, 1, 1, 0, 1], ["f", "a"], "2 trailing symbols after the skeleton"),
+    ],
+)
+def test_bitpars_decode_error_messages(ps, atoms, message):
+    with pytest.raises(CodecError) as info:
+        bitpars2term(ps, atoms)
+    assert str(info.value) == f"bitpars2term: {message}"
+
+
 def test_inj_code_worked_example():
     t = parse_term("f(a,g(X,Y),g(Y,X))")
     code, atoms = term2inj_code(t)

@@ -1,4 +1,5 @@
 import sys
+import time
 
 import pytest
 from hypothesis import given
@@ -18,6 +19,7 @@ from termcodec import (
     print_term,
     validate_signature,
 )
+from termcodec.terms import MAX_ARITY
 
 from conftest import SIG_FG_AB, random_terms
 
@@ -193,6 +195,38 @@ def test_parse_signature_order_preserved():
 def test_signature_errors(text):
     with pytest.raises(SignatureError):
         parse_signature(text)
+
+
+@pytest.mark.parametrize(
+    "check,arg,message",
+    [
+        (validate_signature, Signature(("X",), (), (("f", 2, 3),)),
+         "invalid functor entry ('f', 2, 3)"),
+        (parse_signature, "vars: X\nfuns: F/2",
+         "invalid functor name 'F' (expected [a-z][a-z0-9_]*)"),
+        (parse_signature, "vars: X\nfuns: f/65537",
+         "functor f has arity 65537; arity must be <= 65536"),
+        # a digit to str.isdigit, but not to int
+        (parse_signature, "vars: X\nfuns: f/\u00b2",
+         "line 2: functor 'f/\u00b2' must be written name/arity"),
+    ],
+)
+def test_signature_error_messages(check, arg, message):
+    with pytest.raises(SignatureError) as info:
+        check(arg)
+    assert str(info.value) == message
+
+
+def test_arity_is_bounded(tmp_path):
+    assert MAX_ARITY == 65_536
+    assert parse_signature("vars: X\nfuns: f/65536").funs == (("f", 65_536),)
+    path = tmp_path / "huge.sig"
+    path.write_text("vars: X\nfuns: f/1000000000\n")
+    start = time.perf_counter()
+    with pytest.raises(SignatureError) as info:
+        load_signature(str(path))
+    assert time.perf_counter() - start < 0.01
+    assert str(info.value) == "functor f has arity 1000000000; arity must be <= 65536"
 
 
 def test_same_functor_at_two_arities_is_allowed():
