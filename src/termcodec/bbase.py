@@ -86,4 +86,5 @@ def string2nat(s: str) -> int:
 
 
 def nat2string(n: int) -> str:
+    check_min("nat2string", "argument", n, 0)
     return "".join(chr(_A + d) for d in to_bbase(ALPHABET_BASE, n))

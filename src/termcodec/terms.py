@@ -282,7 +282,13 @@ def parse_signature(text: str) -> Signature:
                     raise SignatureError(
                         f"line {lineno}: functor {tok!r} must be written name/arity"
                     )
-                funs.append((name, int(arity)))
+                digits = arity.lstrip("0") or "0"
+                # bound before int(), which refuses a digit string past the interpreter's limit
+                if len(digits) > len(str(MAX_ARITY)):
+                    raise SignatureError(
+                        f"functor {name} has arity {digits}; arity must be <= {MAX_ARITY}"
+                    )
+                funs.append((name, int(digits)))
     sig = Signature(tuple(vars_), tuple(consts), tuple(funs))
     validate_signature(sig)
     return sig

@@ -3,12 +3,11 @@
 A number is split into a k-tuple by dealing its binary digits round-robin
 across k members (member j receives bits j, j+k, j+2k, ...), which is the
 same thing as transposing the bit matrix of the number written in base 2^k.
-Merging reverses the deal. The 2-tuple case is the classic Morton code.
-
-The stride gather/scatter is done on binary strings rather than per-bit
-integer arithmetic so that million-bit operands stay linear-time; Python's
-int<->binary-string conversions and strided slice assignments all run at
-C speed.
+Merging reverses the deal; the 2-tuple case is the classic Morton code.
+Both directions slice bin(n)[2:], read most significant bit first: member j
+is every k-th character from the string index of bit j, so nothing is
+reversed. Strided slices and int<->binary-string conversions run at C
+speed, which keeps million-bit operands linear-time.
 """
 
 from __future__ import annotations
@@ -20,25 +19,26 @@ def k_deflate(k: int, n: int) -> int:
     """Member 0 of to_tuple(k, n): bit i of the result is bit k*i of n."""
     check_min("k_deflate", "stride", k, 1)
     check_min("k_deflate", "argument", n, 0)
-    return _split(k, n)[0] if k < n.bit_length() else n & 1  # else only bit 0 is kept
+    bits = bin(n)[2:]
+    return int(bits[(len(bits) - 1) % k :: k], 2)
 
 
 def k_inflate(k: int, n: int) -> int:
     """from_tuple of n and k - 1 zeros: bit i of n moves to bit k*i."""
     check_min("k_inflate", "stride", k, 1)
     check_min("k_inflate", "argument", n, 0)
-    return _merge([n] + [0] * (k - 1)) if n > 1 else n  # 0 and 1 stay, whatever k
+    return int(("0" * (k - 1)).join(bin(n)[2:]), 2)
 
 
 def _split(k: int, n: int) -> list[int]:
     """to_tuple without its checks: k >= 1 and n >= 0 must hold."""
     if k == 1:
         return [n]
-    bits = bin(n)[:1:-1]
+    bits = bin(n)[2:]
     members = []
     for j in range(k):
-        chunk = bits[j::k]
-        members.append(int(chunk[::-1], 2) if chunk else 0)
+        chunk = bits[(len(bits) - 1 - j) % k :: k]
+        members.append(int(chunk, 2) if chunk else 0)
     return members
 
 
@@ -47,17 +47,15 @@ def _merge(ns: list[int]) -> int:
     k = len(ns)
     if k == 1:
         return ns[0]
-    top = max(ns)
-    if top == 0:
+    width = max(ns).bit_length()  # shorter members get leading zeros
+    if width == 0:
         return 0
-    # Leading zeros do not change the value: size for the widest member.
-    out = bytearray(b"0" * (k * top.bit_length()))
+    out = bytearray(b"0" * (k * width))
     for j, x in enumerate(ns):
         if x == 0:
             continue
-        bits = bin(x)[:1:-1].encode()
-        out[j : j + k * (len(bits) - 1) + 1 : k] = bits
-    out.reverse()
+        bits = bin(x)[2:].encode()
+        out[k * (width - len(bits)) + k - 1 - j :: k] = bits
     return int(out, 2)
 
 
@@ -79,9 +77,11 @@ def from_tuple(ns: list[int]) -> int:
 
 
 def to_pair(n: int) -> tuple[int, int]:
-    a, b = to_tuple(2, n)
-    return a, b
+    check_min("to_pair", "argument", n, 0)
+    return tuple(_split(2, n))
 
 
 def from_pair(a: int, b: int) -> int:
-    return from_tuple([a, b])
+    check_min("from_pair", "a", a, 0)
+    check_min("from_pair", "b", b, 0)
+    return _merge([a, b])

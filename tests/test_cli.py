@@ -1,9 +1,12 @@
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import termcodec
 from termcodec import cli, print_term, ranterm
 from termcodec.cli import main
 
@@ -305,10 +308,14 @@ def test_unknown_flag_rejected():
 
 
 def test_module_invocation_subprocess():
+    # the child imports the same package as this test, installed or not
+    root = str(Path(termcodec.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "termcodec", "tuple", "-k", "3", "42"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "2,1,2\n"

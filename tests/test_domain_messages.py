@@ -17,19 +17,23 @@ from termcodec import (
     cons,
     decons,
     from_bbase,
+    from_pair,
     from_tuple,
     k_deflate,
     k_inflate,
     nat2nats,
     nat2pars,
+    nat2string,
     nat2term,
     nats2nat,
+    parse_signature,
     parse_term,
     pars2nat,
     ranterm,
     string2nat,
     term2nat,
     to_bbase,
+    to_pair,
     to_tuple,
 )
 
@@ -47,10 +51,14 @@ from conftest import SIG_FG_AB
         (to_tuple, (2, -1), "to_tuple: argument must be >= 0 (got -1)"),
         (to_tuple, (-1, -1), "to_tuple: stride must be >= 1 (got -1)"),
         (from_tuple, ([1, -3, 2],), "from_tuple: argument must be >= 0 (got -3)"),
+        (to_pair, (-1,), "to_pair: argument must be >= 0 (got -1)"),
+        (from_pair, (-1, 0), "from_pair: a must be >= 0 (got -1)"),
+        (from_pair, (0, -2), "from_pair: b must be >= 0 (got -2)"),
         (from_bbase, (1, [0]), "from_bbase: base must be >= 2 (got 1)"),
         (to_bbase, (1, 5), "to_bbase: base must be >= 2 (got 1)"),
         (to_bbase, (2, -1), "to_bbase: argument must be >= 0 (got -1)"),
         (to_bbase, (26, -7), "to_bbase: argument must be >= 0 (got -7)"),
+        (nat2string, (-1,), "nat2string: argument must be >= 0 (got -1)"),
         (cons, (-1, 0), "cons: x must be >= 0 (got -1)"),
         (cons, (0, -2), "cons: y must be >= 0 (got -2)"),
         (cons, (-1, -2), "cons: x must be >= 0 (got -1)"),
@@ -79,6 +87,9 @@ def test_numeric_minimum_messages(function, args, message):
         (to_bbase, (2.0, 5), "to_bbase: base must be an integer (got 2.0)"),
         (to_tuple, (2, 5.0), "to_tuple: argument must be an integer (got 5.0)"),
         (from_tuple, ([1.5, 2],), "from_tuple: argument must be an integer (got 1.5)"),
+        (to_pair, (2.0,), "to_pair: argument must be an integer (got 2.0)"),
+        (from_pair, (1, 1.5), "from_pair: b must be an integer (got 1.5)"),
+        (nat2string, (1.5,), "nat2string: argument must be an integer (got 1.5)"),
         (nat2pars, (3.0,), "nat2pars: argument must be an integer (got 3.0)"),
         (nat2nats, ("7",), "nat2nats: argument must be an integer (got '7')"),
         (nats2nat, ([1.5],), "nats2nat: item must be an integer (got 1.5)"),
@@ -135,6 +146,10 @@ def test_iterables_are_listed_once():
          "expected a Signature of tuples "
          "(got Signature(vars=('X',), consts=('a',), funs=[('f', 1)]))"),
         (term2nat, (None, Const("a")), "expected a Signature of tuples (got None)"),
+        # more digits than the interpreter's int() limit: the arity bound, not a ValueError
+        pytest.param(parse_signature, ("vars: X\nfuns: f/" + "1" * 5000,),
+                     f"functor f has arity {'1' * 5000}; arity must be <= 65536",
+                     id="parse_signature-5000-digit-arity"),
     ],
 )
 def test_signature_messages(function, args, message):

@@ -227,6 +227,11 @@ def test_arity_is_bounded(tmp_path):
         load_signature(str(path))
     assert time.perf_counter() - start < 0.01
     assert str(info.value) == "functor f has arity 1000000000; arity must be <= 65536"
+    # leading zeros do not count towards the bound
+    assert parse_signature("vars: X\nfuns: f/00001 g/0065536").funs == (("f", 1), ("g", 65_536))
+    with pytest.raises(SignatureError) as info:
+        parse_signature("vars: X\nfuns: f/000000")
+    assert str(info.value) == "functor f has arity 0; arity must be >= 1"
 
 
 def test_same_functor_at_two_arities_is_allowed():
