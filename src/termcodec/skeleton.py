@@ -8,10 +8,12 @@ aggregate the skeleton: inj_code reads it as bijective base-2 digits
 through the Nat <-> balanced-sequence bijection nat2pars/pars2nat, itself
 built on the Nat <-> [Nat] bijection nat2nats/nats2nat.
 
-Skeleton decoding is partial: it accepts exactly the image of term2bitpars.
-A group with fewer than two children is rejected (a compound needs a functor
-and at least one argument; accepting [0,0,1,1] would collide with the leaf
-skeleton [0,1]). The atom filling a functor slot must be a lowercase symbol.
+Skeleton decoding is partial: it accepts exactly the image of term2bitpars,
+which a compound's skeleton spells in two-symbol steps inside its top group
+0 ... 1: 0 1 is a leaf, 0 0 opens a member and its group, and 1 1 closes a
+group and its member. Every inner group holds a functor leaf and at least one
+argument (accepting [0,0,1,1] would collide with the leaf skeleton [0,1]), and
+the atom filling a functor slot must be a lowercase symbol.
 
 All tree walks use explicit stacks; skeleton depth can reach len(ps) // 2.
 """
@@ -74,21 +76,16 @@ def bitpars2term(ps, atoms) -> Term:
         return _leaf("bitpars2term", atoms[0])
     if not ps or ps[0] != 0:
         raise CodecError("bitpars2term: skeleton must be a single group opened by 0")
-    n = len(ps)
     na = len(atoms)
     # One node per distinct atom; only exact str and int atoms are shared, so
     # that True and 1 stay distinct and unhashable atoms reach _leaf.
     leaves: dict[Atom, Term] = {}
     ai = 0
-    i = 1
     stack: list[list[Term]] = [[]]
-    while True:
-        if i >= n:
-            raise CodecError("bitpars2term: skeleton ends inside an open group")
-        if ps[i] == 0:
-            if i + 1 >= n:
-                raise CodecError("bitpars2term: skeleton ends inside an open group")
-            if ps[i + 1]:
+    # The steps after the top group's 0, paired in C; 2 marks the end of input.
+    for j, (s, t) in enumerate(zip(ps[1::2], ps[2::2] + b"\2")):
+        if s == 0:
+            if t == 1:
                 if ai >= na:
                     raise CodecError(
                         f"bitpars2term: skeleton holds more leaves than the "
@@ -103,9 +100,10 @@ def bitpars2term(ps, atoms) -> Term:
                 else:
                     node = _leaf("bitpars2term", a)
                 stack[-1].append(node)
-            else:
+            elif t == 0:
                 stack.append([])
-            i += 2  # member open plus either its close or the nested group open
+            else:
+                break
             continue
         kids = stack.pop()
         if len(kids) < 2:
@@ -113,20 +111,20 @@ def bitpars2term(ps, atoms) -> Term:
                 "bitpars2term: a group must hold a functor and at least one argument"
             )
         node = Compound(_functor_name(kids[0]), tuple(kids[1:]))
-        i += 1
-        if not stack:
-            break
-        if i >= n or ps[i] != 1:
+        if not stack:  # the top group's close
+            if len(ps) - 2 * j - 2:
+                raise CodecError(
+                    f"bitpars2term: {len(ps) - 2 * j - 2} trailing symbols after the skeleton"
+                )
+            if ai != na:
+                raise CodecError(
+                    f"bitpars2term: skeleton holds {ai} leaves but {na} atoms were given"
+                )
+            return node
+        if t != 1:
             raise CodecError("bitpars2term: unbalanced skeleton")
-        i += 1  # close of the member wrapping this group
         stack[-1].append(node)
-    if i != n:
-        raise CodecError(f"bitpars2term: {n - i} trailing symbols after the skeleton")
-    if ai != na:
-        raise CodecError(
-            f"bitpars2term: skeleton holds {ai} leaves but {na} atoms were given"
-        )
-    return node
+    raise CodecError("bitpars2term: skeleton ends inside an open group")
 
 
 def term2inj_code(t: Term) -> tuple[int, list[Atom]]:

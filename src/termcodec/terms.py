@@ -257,6 +257,8 @@ def validate_signature(sig: Signature) -> None:
 def parse_signature(text: str) -> Signature:
     """Parse signature text: one 'vars:'/'consts:'/'funs:' declaration per
     line, '#' comments, order significant. Repeated lines extend a section."""
+    if not isinstance(text, str):
+        raise SignatureError(f"parse_signature: text must be a string (got {text!r})")
     vars_: list[str] = []
     consts: list[str] = []
     funs: list[tuple[str, int]] = []

@@ -150,6 +150,9 @@ def test_iterables_are_listed_once():
         pytest.param(parse_signature, ("vars: X\nfuns: f/" + "1" * 5000,),
                      f"functor f has arity {'1' * 5000}; arity must be <= 65536",
                      id="parse_signature-5000-digit-arity"),
+        (parse_signature, (None,), "parse_signature: text must be a string (got None)"),
+        (parse_signature, (b"vars: X",),
+         "parse_signature: text must be a string (got b'vars: X')"),
     ],
 )
 def test_signature_messages(function, args, message):
