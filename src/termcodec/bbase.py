@@ -8,9 +8,9 @@ different codes where ordinary positional notation would collapse them).
 Base 2 is the skeleton codecs' base, and its digit sequences are as long as
 a term's skeleton, so it goes through binary strings in linear time: the
 value of digits d_0..d_{L-1} is 2^L - 1 + sum d_i 2^i, i.e. the binary
-number "1" d_{L-1} ... d_0 minus one. Other bases keep the digit loop, which
-does one bigint multiply or divide per digit (quadratic); only the short
-atom strings use them.
+number "1" d_{L-1} ... d_0 minus one. Other bases keep the digit loop, one
+bigint multiply or divmod per digit (quadratic); atom strings and the CLI's
+bbase -b K, unbbase -b K and atom-decode use them.
 """
 
 from __future__ import annotations
@@ -59,14 +59,9 @@ def to_bbase(base: int, n: int) -> list[int]:
     if base == 2:
         return list(bin(n + 1)[:2:-1].encode().translate(_CHAR_DIGITS))
     digits = []
-    while n > 0:
-        d = n % base
-        if d == 0:
-            digits.append(base - 1)
-            n = n // base - 1
-        else:
-            digits.append(d - 1)
-            n = n // base
+    while n:
+        n, d = divmod(n - 1, base)
+        digits.append(d)
     return digits
 
 

@@ -37,14 +37,13 @@ def _functor_name(t: Term) -> str:
 
 
 def _bit_bytes(what: str, ps) -> bytes:
-    """The symbols of the list or tuple ps as bytes 0 and 1; raises CodecError
-    naming the first symbol that is not 0 or 1 (what is the message's prefix)."""
+    """The list or tuple ps as bytes; raises CodecError naming the first symbol
+    that is not an int 0 or 1, bool counting (what is the message's prefix)."""
     raw = _as_bits(ps)
     if raw is None:
         for s in ps:
-            if s not in (0, 1):
+            if not isinstance(s, int) or s not in (0, 1):
                 raise CodecError(f"{what} {s!r} is not 0 or 1")
-        raw = bytes([0 if s == 0 else 1 for s in ps])
     return raw
 
 
@@ -179,19 +178,18 @@ def nat2pars(n: int) -> list[int]:
     the walk is iterative because depth is only bounded by that descent.
     """
     check_min("nat2pars", "argument", n, 0)
-    out: list[int] = []
-    work = [n]  # -1 stands for the close of a group
+    out: list[int] = []  # written last symbol first
+    work = [n]  # -1 stands for the open of a group
     while work:
         x = work.pop()
         if x < 0:
-            out.append(1)
+            out.append(0)
             continue
-        out.append(0)
+        out.append(1)
         work.append(-1)
         if x:
-            members = _nats(x)
-            members.reverse()
-            work += members
+            work += _nats(x)
+    out.reverse()
     return out
 
 
@@ -202,17 +200,16 @@ def pars2nat(ps) -> int:
         raise CodecError("pars2nat: empty sequence")
     if ps[0] != 0:
         raise CodecError("pars2nat: sequence must open with 0")
-    n = len(ps)
     stack: list[list[int]] = [[]]
-    for i in range(1, n):
-        if ps[i] == 0:
+    for i, s in enumerate(ps[1:], 2):  # i: the symbols read, s included
+        if s == 0:
             stack.append([])
             continue
         kids = stack.pop()
         value = _nat(kids) if kids else 0
         if not stack:
-            if i + 1 != n:
-                raise CodecError(f"pars2nat: {n - i - 1} trailing symbols after the closing 1")
+            if len(ps) - i:
+                raise CodecError(f"pars2nat: {len(ps) - i} trailing symbols after the closing 1")
             return value
         stack[-1].append(value)
     raise CodecError("pars2nat: unbalanced sequence, a group is never closed")

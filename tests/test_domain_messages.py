@@ -5,6 +5,7 @@ argument that is not iterable reads "<op>: <what> must be iterable (got
 <value>)", and a signature that is not one raises SignatureError."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -107,6 +108,7 @@ def test_bool_counts_as_an_integer():
     assert from_bbase(2, [True, 0]) == 4
     assert to_bbase(2, True) == [0]
     assert cons(True, False) == 2
+    assert bitpars2term((False, True), ["a"]) == Const("a")
 
 
 @pytest.mark.parametrize(
@@ -121,6 +123,8 @@ def test_bool_counts_as_an_integer():
         (pars2nat, (None,), "pars2nat: sequence must be iterable (got None)"),
         (bitpars2term, (None, []), "bitpars2term: skeleton must be iterable (got None)"),
         (bitpars2term, ([0, 1], None), "bitpars2term: atoms must be iterable (got None)"),
+        (pars2nat, ([0, Fraction(1)],), "pars2nat: symbol Fraction(1, 1) is not 0 or 1"),
+        (bitpars2term, ([0.0, 1], ["a"]), "bitpars2term: skeleton symbol 0.0 is not 0 or 1"),
         (string2nat, (5,), "string2nat: argument must be a string (got 5)"),
         (parse_term, (None,), "parse_term: text must be a string (got None)"),
     ],

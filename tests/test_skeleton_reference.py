@@ -4,9 +4,13 @@ The cons, tuple, list and balanced-sequence references are those of
 bench/reference.py, written from the definitions and sharing nothing with
 the library. Bijective base-b numeration is checked against the digit loop
 (one multiply or divide per digit) that bbase used for every base before
-base 2 moved to binary strings, kept verbatim here.
+base 2 moved to binary strings, kept verbatim here. So are the earlier
+nat2pars and pars2nat loops, which wrote each group first symbol first and
+read the sequence by index, with the public nat2nats/nats2nat in place of
+the unchecked kernels they called.
 """
 
+import itertools
 import random
 
 import pytest
@@ -44,6 +48,51 @@ def loop_to_bbase(base, n):
             digits.append(d - 1)
             n = n // base
     return digits
+
+
+def loop_nat2pars(n):
+    out = []
+    work = [n]  # -1 stands for the close of a group
+    while work:
+        x = work.pop()
+        if x < 0:
+            out.append(1)
+            continue
+        out.append(0)
+        work.append(-1)
+        if x:
+            members = nat2nats(x)
+            members.reverse()
+            work += members
+    return out
+
+
+def loop_pars2nat(ps):
+    if not ps:
+        raise CodecError("pars2nat: empty sequence")
+    if ps[0] != 0:
+        raise CodecError("pars2nat: sequence must open with 0")
+    n = len(ps)
+    stack = [[]]
+    for i in range(1, n):
+        if ps[i] == 0:
+            stack.append([])
+            continue
+        kids = stack.pop()
+        value = nats2nat(kids) if kids else 0
+        if not stack:
+            if i + 1 != n:
+                raise CodecError(f"pars2nat: {n - i - 1} trailing symbols after the closing 1")
+            return value
+        stack[-1].append(value)
+    raise CodecError("pars2nat: unbalanced sequence, a group is never closed")
+
+
+def value_or_message(function, *args):
+    try:
+        return function(*args)
+    except CodecError as e:
+        return str(e)
 
 
 def random_codes(seed, count, max_bits=4096):
@@ -88,6 +137,19 @@ def test_nats2nat_on_random_lists():
         assert nats2nat(ns) == ref.nats2nat(ns)
 
 
+def test_nat2pars_matches_the_loop_below_2_pow_16():
+    for n in range(2**16):
+        assert nat2pars(n) == loop_nat2pars(n)
+
+
+def test_pars2nat_matches_the_loop_on_short_sequences():
+    """Every 0/1 sequence of at most 14 symbols: the same value, or the same
+    message."""
+    for length in range(15):
+        for ps in itertools.product((0, 1), repeat=length):
+            assert value_or_message(pars2nat, ps) == value_or_message(loop_pars2nat, ps)
+
+
 def test_base2_exhaustive_below_2_pow_12():
     for n in range(2**12):
         digits = loop_to_bbase(2, n)
@@ -104,9 +166,9 @@ def test_base2_random_codes_up_to_2_pow_4096():
         assert from_bbase(2, digits) == loop_from_bbase(2, digits)
 
 
-@pytest.mark.parametrize("base", [3, 7, 26])
+@pytest.mark.parametrize("base", [3, 7, 26, 255, 256, 10**6])
 def test_other_bases_keep_the_loop(base):
-    for n in random_codes(seed=base, count=50, max_bits=512):
+    for n in [*range(2**12), *random_codes(seed=base, count=50, max_bits=512)]:
         assert to_bbase(base, n) == loop_to_bbase(base, n)
         assert from_bbase(base, loop_to_bbase(base, n)) == n
 
@@ -138,7 +200,9 @@ def test_base2_bad_digits_match_the_loop():
 
 def test_pars_pinned_symbol_handling():
     assert pars2nat([0, True]) == 0
-    assert pars2nat([0.0, 1.0]) == 0
+    with pytest.raises(CodecError) as info:
+        pars2nat([0.0, 1.0])
+    assert str(info.value) == "pars2nat: symbol 0.0 is not 0 or 1"
     assert pars2nat((0, 0, 1, 1)) == 1
     with pytest.raises(CodecError, match="symbol 2 is not 0 or 1"):
         pars2nat([0, 2, 1])
