@@ -26,10 +26,14 @@ _CHAR_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _as_bits(seq) -> bytes | None:
-    """seq as bytes if every member is 0 or 1, else None."""
+    """seq as bytes if every member is an int (bool counts) 0 or 1, else None.
+    The types are checked first: bytes() would also take any object with
+    __index__, which the callers' digit-by-digit checks refuse."""
+    if not all(issubclass(kind, int) for kind in set(map(type, seq))):
+        return None
     try:
         raw = bytes(seq)
-    except (TypeError, ValueError):  # a member outside [0, 255] or not an int
+    except ValueError:  # a member outside [0, 255]
         return None
     return None if raw.translate(None, b"\x00\x01") else raw
 

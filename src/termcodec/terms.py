@@ -14,26 +14,106 @@ variable name denote the same variable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import CodecError, ParseError, SignatureError
 
 
-@dataclass(frozen=True)
-class Var:
+class _Fields:
+    """What frozen dataclasses gave the term classes and Signature, without
+    importing dataclasses (which loads inspect, ast, dis and tokenize):
+    field-wise == and hash, a Class(field=value, ...) repr, copying and
+    pickling through the constructor, and no assignment or deletion.
+
+    A subclass lists its fields in __slots__ and __match_args__ and sets them
+    in __init__ through the slots' own setters, which never reach the refused
+    __setattr__ and cost half of object.__setattr__. The term classes write
+    __eq__ and __hash__ out over their fields: the generic ones below cost
+    about twice as much per call.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = []
+        for name in self.__match_args__:  # not a comprehension, whose frame would nest too
+            fields.append(f"{name}={getattr(self, name)!r}")
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Var(_Fields):
+    __slots__ = __match_args__ = ("name",)
     name: str
 
+    def __init__(self, name: str):
+        _set_var_name(self, name)
 
-@dataclass(frozen=True)
-class Const:
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
+
+
+class Const(_Fields):
+    __slots__ = __match_args__ = ("symbol",)
     symbol: str | int
 
+    def __init__(self, symbol: str | int):
+        _set_const_symbol(self, symbol)
 
-@dataclass(frozen=True)
-class Compound:
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.symbol == other.symbol
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.symbol,))
+
+
+class Compound(_Fields):
+    __slots__ = __match_args__ = ("functor", "args")
     functor: str
-    args: tuple["Term", ...]
+    args: tuple[Term, ...]
 
+    def __init__(self, functor: str, args: tuple[Term, ...]):
+        _set_compound_functor(self, functor)
+        _set_compound_args(self, args)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.functor == other.functor and self.args == other.args
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.functor, self.args))
+
+
+_set_var_name = Var.name.__set__
+_set_const_symbol = Const.symbol.__set__
+_set_compound_functor = Compound.functor.__set__
+_set_compound_args = Compound.args.__set__
 
 Term = Var | Const | Compound
 Atom = str | int  # what a leaf holds: a variable name, a symbol or an integer
@@ -192,16 +272,26 @@ def print_term(t: Term) -> str:
         raise CodecError(f"print_term: {exc}") from None
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(_Fields):
     """Ordered inventories of variables, constants, and functor/arity pairs.
 
     Order is significant: it defines the numeric index of every symbol.
     """
 
-    vars: tuple[str, ...] = ()
-    consts: tuple[str, ...] = ()
-    funs: tuple[tuple[str, int], ...] = ()
+    __slots__ = __match_args__ = ("vars", "consts", "funs")
+    vars: tuple[str, ...]
+    consts: tuple[str, ...]
+    funs: tuple[tuple[str, int], ...]
+
+    def __init__(
+        self,
+        vars: tuple[str, ...] = (),
+        consts: tuple[str, ...] = (),
+        funs: tuple[tuple[str, int], ...] = (),
+    ):
+        _set_sig_vars(self, vars)
+        _set_sig_consts(self, consts)
+        _set_sig_funs(self, funs)
 
     @property
     def lv(self) -> int:
@@ -220,11 +310,16 @@ class Signature:
         return len(self.vars) + len(self.consts)
 
 
+_set_sig_vars = Signature.vars.__set__
+_set_sig_consts = Signature.consts.__set__
+_set_sig_funs = Signature.funs.__set__
+
+
 def validate_signature(sig: Signature) -> None:
     """Check every Signature invariant; raises SignatureError naming the
     violated one."""
     if not (isinstance(sig, Signature)
-            and all(isinstance(field, tuple) for field in vars(sig).values())):
+            and all(isinstance(field, tuple) for field in sig._values())):
         raise SignatureError(f"expected a Signature of tuples (got {sig!r})")
     if len(sig.vars) + len(sig.consts) == 0:
         raise SignatureError(

@@ -41,6 +41,19 @@ from termcodec import (
 from conftest import SIG_FG_AB
 
 
+class Index:
+    """Not an int, but bytes() and int() take it through __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"Index({self.value})"
+
+
 @pytest.mark.parametrize(
     "function,args,message",
     [
@@ -111,6 +124,15 @@ def test_bool_counts_as_an_integer():
     assert bitpars2term((False, True), ["a"]) == Const("a")
 
 
+def test_int_subclasses_count_as_integers():
+    class Bit(int):
+        pass
+
+    assert from_bbase(2, [Bit(1), Bit(0)]) == 4
+    assert pars2nat([Bit(0), Bit(0), Bit(1), Bit(1)]) == 1
+    assert bitpars2term([Bit(0), Bit(1)], ["a"]) == Const("a")
+
+
 @pytest.mark.parametrize(
     "function,args,message",
     [
@@ -125,6 +147,10 @@ def test_bool_counts_as_an_integer():
         (bitpars2term, ([0, 1], None), "bitpars2term: atoms must be iterable (got None)"),
         (pars2nat, ([0, Fraction(1)],), "pars2nat: symbol Fraction(1, 1) is not 0 or 1"),
         (bitpars2term, ([0.0, 1], ["a"]), "bitpars2term: skeleton symbol 0.0 is not 0 or 1"),
+        # an __index__ object is not an int, even where it holds a valid 0 or 1
+        (pars2nat, ([0, Index(1)],), "pars2nat: symbol Index(1) is not 0 or 1"),
+        (from_bbase, (2, [Index(1)]), "from_bbase: digit must be an integer (got Index(1))"),
+        (bitpars2term, ([0, Index(1)], ["a"]), "bitpars2term: skeleton symbol Index(1) is not 0 or 1"),
         (string2nat, (5,), "string2nat: argument must be a string (got 5)"),
         (parse_term, (None,), "parse_term: text must be a string (got None)"),
     ],

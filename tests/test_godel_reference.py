@@ -4,13 +4,12 @@ a functor's payload through the base-2^k digit matrix, sharing nothing with
 the library's godel or tuples modules. The reference keeps terms as text, so
 the library's terms are compared through print_term."""
 
-import dataclasses
 import random
 import sys
 
 import pytest
 
-from termcodec import Compound, Signature, nat2term, print_term, term2nat
+from termcodec import Compound, Const, Signature, Var, nat2term, print_term, term2nat
 
 from conftest import SIG_FG_A, SIG_FG_AB, SIG_IMP, ref
 
@@ -26,7 +25,7 @@ def fresh_leaves(t):
     """t rebuilt with a new node per leaf; decoded terms share their leaves."""
     if isinstance(t, Compound):
         return Compound(t.functor, tuple(fresh_leaves(a) for a in t.args))
-    return dataclasses.replace(t)
+    return Var(t.name) if isinstance(t, Var) else Const(t.symbol)
 
 
 @pytest.fixture
