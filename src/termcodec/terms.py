@@ -392,5 +392,14 @@ def parse_signature(text: str) -> Signature:
 
 
 def load_signature(path: str) -> Signature:
-    with open(path, encoding="utf-8") as fh:
-        return parse_signature(fh.read())
+    """Read and parse a UTF-8 signature file; a byte that is not UTF-8 is a
+    SignatureError naming the file and the byte's offset."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SignatureError(
+            f"{path}: invalid UTF-8 at byte offset {exc.start} ({data[exc.start]:#04x})"
+        ) from None
+    return parse_signature(text)

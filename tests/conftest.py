@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from termcodec import Signature, ranterm
+from termcodec import Signature, nat2term
 
 
 # The one plain reference per codec, written from the paper's definitions;
@@ -15,10 +15,17 @@ _spec = importlib.util.spec_from_file_location(
 ref = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ref)
 
-# the three signatures used across the worked examples
+# the three signatures used across the worked examples, and one with a ternary functor too
 SIG_FG_A = Signature(("X", "Y"), ("a",), (("f", 2), ("g", 1)))
 SIG_FG_AB = Signature(("X", "Y"), ("a", "b"), (("f", 2), ("g", 1)))
 SIG_IMP = Signature(("A", "B"), ("z",), (("imp", 2),))
+SIG_H3 = Signature(("X",), ("a",), (("h", 3), ("g", 1), ("f", 2)))
+NOT_UTF8_SIG = str(Path(__file__).with_name("not_utf8.sig"))  # "vars: X", then the byte 0xff
+
+
+def plain(sig):
+    """sig as the reference takes it: a (vars, consts, funs) triple."""
+    return sig.vars, sig.consts, sig.funs
 
 
 @pytest.fixture
@@ -36,8 +43,12 @@ def sig_imp() -> Signature:
     return SIG_IMP
 
 
-def random_terms(sig: Signature, count: int, seed: int, max_bits: int = 120):
-    """Terms decoded from uniform codes of varying bitsize; deterministic."""
+def random_codes(seed: int, count: int, max_bits: int = 4096) -> list[int]:
+    """Uniform codes of uniformly drawn bitsize in [1, max_bits]; deterministic."""
     rng = random.Random(seed)
-    for _ in range(count):
-        yield ranterm(sig, rng.randint(1, max_bits), rng)
+    return [rng.getrandbits(rng.randint(1, max_bits)) for _ in range(count)]
+
+
+def random_terms(sig: Signature, count: int, seed: int, max_bits: int = 120):
+    """The terms that random_codes decode to under sig."""
+    return (nat2term(sig, n) for n in random_codes(seed, count, max_bits))

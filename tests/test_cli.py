@@ -10,7 +10,7 @@ import termcodec
 from termcodec import cli, print_term, ranterm
 from termcodec.cli import main
 
-from conftest import SIG_FG_AB
+from conftest import NOT_UTF8_SIG, SIG_FG_AB
 
 SIG_TEXT = "vars: X Y\nconsts: a\nfuns: f/2 g/1\n"
 
@@ -219,6 +219,7 @@ def test_cli_roundtrip_random_terms(capsys):
     "argv,fragment",
     [
         (["decode-term", "--sig", "no_such.sig", "5"], "no_such.sig"),
+        (["decode-term", "--sig", NOT_UTF8_SIG, "3"], "invalid UTF-8 at byte offset 7"),
         (["decode-term", "--sig", "SIGFILE", "12x"], "decimal natural"),
         (["encode-term", "--sig", "SIGFILE", "f(a"], "parse error"),
         (["encode-term", "--sig", "SIGFILE", "h(a)"], "functor h/1"),

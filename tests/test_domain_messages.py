@@ -22,6 +22,7 @@ from termcodec import (
     from_tuple,
     k_deflate,
     k_inflate,
+    load_signature,
     nat2nats,
     nat2pars,
     nat2string,
@@ -38,7 +39,7 @@ from termcodec import (
     to_tuple,
 )
 
-from conftest import SIG_FG_AB
+from conftest import NOT_UTF8_SIG, SIG_FG_AB
 
 
 class Index:
@@ -183,6 +184,8 @@ def test_iterables_are_listed_once():
         (parse_signature, (None,), "parse_signature: text must be a string (got None)"),
         (parse_signature, (b"vars: X",),
          "parse_signature: text must be a string (got b'vars: X')"),
+        pytest.param(load_signature, (NOT_UTF8_SIG,), f"{NOT_UTF8_SIG}: invalid UTF-8 at byte offset 7 (0xff)",
+                     id="load_signature-not-utf8"),
     ],
 )
 def test_signature_messages(function, args, message):

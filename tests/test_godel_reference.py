@@ -9,16 +9,9 @@ import sys
 
 import pytest
 
-from termcodec import Compound, Const, Signature, Var, nat2term, print_term, term2nat
+from termcodec import Compound, Const, Var, nat2term, print_term, term2nat
 
-from conftest import SIG_FG_A, SIG_FG_AB, SIG_IMP, ref
-
-SIG_H3 = Signature(("X",), ("a",), (("h", 3), ("g", 1), ("f", 2)))  # a ternary functor too
-
-
-def plain(sig):
-    """sig as the reference takes it: a (vars, consts, funs) triple."""
-    return sig.vars, sig.consts, sig.funs
+from conftest import SIG_FG_A, SIG_FG_AB, SIG_H3, SIG_IMP, plain, ref
 
 
 def fresh_leaves(t):

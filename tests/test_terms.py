@@ -21,8 +21,6 @@ from termcodec import (
 )
 from termcodec.terms import MAX_ARITY
 
-from conftest import SIG_FG_AB, random_terms
-
 
 def test_parse_leaves():
     assert parse_term("X") == Var("X")
@@ -82,11 +80,6 @@ def test_print_rejects_bare_strings(term, item):
     with pytest.raises(CodecError) as info:
         print_term(term)
     assert str(info.value) == f"print_term: not a term: {item}"
-
-
-def test_print_parse_roundtrip_on_random_corpus():
-    for t in random_terms(SIG_FG_AB, 300, seed=5):
-        assert parse_term(print_term(t)) == t
 
 
 def test_parse_print_deeply_nested():

