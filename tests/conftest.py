@@ -2,8 +2,6 @@ import importlib.util
 import random
 from pathlib import Path
 
-import pytest
-
 from termcodec import Signature, nat2term
 
 
@@ -26,21 +24,6 @@ NOT_UTF8_SIG = str(Path(__file__).with_name("not_utf8.sig"))  # "vars: X", then 
 def plain(sig):
     """sig as the reference takes it: a (vars, consts, funs) triple."""
     return sig.vars, sig.consts, sig.funs
-
-
-@pytest.fixture
-def sig_fg_a() -> Signature:
-    return SIG_FG_A
-
-
-@pytest.fixture
-def sig_fg_ab() -> Signature:
-    return SIG_FG_AB
-
-
-@pytest.fixture
-def sig_imp() -> Signature:
-    return SIG_IMP
 
 
 def random_codes(seed: int, count: int, max_bits: int = 4096) -> list[int]:

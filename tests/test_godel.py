@@ -17,33 +17,35 @@ from termcodec import (
     term2nat,
 )
 
+from conftest import SIG_FG_A, SIG_FG_AB, SIG_IMP
 
-def test_encode_worked_example(sig_fg_a):
+
+def test_encode_worked_example():
     t = parse_term("f(a,f(X,g(Y)))")
-    assert term2nat(sig_fg_a, t) == 17439
-    assert nat2term(sig_fg_a, 17439) == t
+    assert term2nat(SIG_FG_A, t) == 17439
+    assert nat2term(SIG_FG_A, 17439) == t
 
 
-def test_decode_worked_example_two_constants(sig_fg_ab):
-    t = nat2term(sig_fg_ab, 2012)
+def test_decode_worked_example_two_constants():
+    t = nat2term(SIG_FG_AB, 2012)
     assert print_term(t) == "f(f(Y,b),f(b,a))"
-    assert term2nat(sig_fg_ab, t) == 2012
+    assert term2nat(SIG_FG_AB, t) == 2012
 
 
-def test_decode_worked_example_implication(sig_imp):
-    t = nat2term(sig_imp, 2012)
+def test_decode_worked_example_implication():
+    t = nat2term(SIG_IMP, 2012)
     assert print_term(t) == "imp(imp(imp(B,A),imp(z,A)),imp(imp(z,A),B))"
-    assert term2nat(sig_imp, t) == 2012
+    assert term2nat(SIG_IMP, t) == 2012
 
 
-def test_leaf_band_order(sig_fg_ab):
+def test_leaf_band_order():
     "Codes below lvc enumerate variables first, then constants, in order."
-    assert nat2term(sig_fg_ab, 0) == Var("X")
-    assert nat2term(sig_fg_ab, 1) == Var("Y")
-    assert nat2term(sig_fg_ab, 2) == Const("a")
-    assert nat2term(sig_fg_ab, 3) == Const("b")
-    assert term2nat(sig_fg_ab, Var("X")) == 0
-    assert term2nat(sig_fg_ab, Const("b")) == 3
+    assert nat2term(SIG_FG_AB, 0) == Var("X")
+    assert nat2term(SIG_FG_AB, 1) == Var("Y")
+    assert nat2term(SIG_FG_AB, 2) == Const("a")
+    assert nat2term(SIG_FG_AB, 3) == Const("b")
+    assert term2nat(SIG_FG_AB, Var("X")) == 0
+    assert term2nat(SIG_FG_AB, Const("b")) == 3
 
 
 def test_deep_unary_chain():
@@ -67,17 +69,17 @@ def test_signature_without_functors_is_finite():
         nat2term(sig, 3)
 
 
-def test_encode_rejects_foreign_symbols(sig_fg_a):
+def test_encode_rejects_foreign_symbols():
     with pytest.raises(CodecError, match="variable Z"):
-        term2nat(sig_fg_a, Var("Z"))
+        term2nat(SIG_FG_A, Var("Z"))
     with pytest.raises(CodecError, match="constant 'b'"):
-        term2nat(sig_fg_a, Const("b"))
+        term2nat(SIG_FG_A, Const("b"))
     with pytest.raises(CodecError, match="functor h/1"):
-        term2nat(sig_fg_a, Compound("h", (Const("a"),)))
+        term2nat(SIG_FG_A, Compound("h", (Const("a"),)))
     with pytest.raises(CodecError, match="functor f/3"):
-        term2nat(sig_fg_a, Compound("f", (Const("a"),) * 3))
+        term2nat(SIG_FG_A, Compound("f", (Const("a"),) * 3))
     with pytest.raises(CodecError, match="constant 42"):
-        term2nat(sig_fg_a, Const(42))
+        term2nat(SIG_FG_A, Const(42))
 
 
 @pytest.mark.parametrize(
@@ -88,9 +90,9 @@ def test_encode_rejects_foreign_symbols(sig_fg_a):
         (Compound("f", (Const("a"), Compound("g", ("a",)))), "not a term"),
     ],
 )
-def test_encode_rejects_nested_foreign_symbols(sig_fg_ab, term, message):
+def test_encode_rejects_nested_foreign_symbols(term, message):
     with pytest.raises(CodecError, match=message):
-        term2nat(sig_fg_ab, term)
+        term2nat(SIG_FG_AB, term)
 
 
 @pytest.mark.parametrize(
@@ -102,14 +104,14 @@ def test_encode_rejects_nested_foreign_symbols(sig_fg_ab, term, message):
     ],
 )
 @pytest.mark.parametrize("nested", [False, True])
-def test_encode_rejects_unhashable_symbols(sig_fg_ab, leaf, message, nested):
+def test_encode_rejects_unhashable_symbols(leaf, message, nested):
     term = Compound("f", (Const("a"), Compound("g", (leaf,)))) if nested else leaf
     with pytest.raises(CodecError, match=message):
-        term2nat(sig_fg_ab, term)
+        term2nat(SIG_FG_AB, term)
 
 
-def test_decoded_and_parsed_terms_share_equal_leaves(sig_fg_ab):
-    t = nat2term(sig_fg_ab, random.Random(5).getrandbits(10**5))
+def test_decoded_and_parsed_terms_share_equal_leaves():
+    t = nat2term(SIG_FG_AB, random.Random(5).getrandbits(10**5))
     text = print_term(t)
     parsed = parse_term(text)
     assert parsed == t
@@ -126,9 +128,9 @@ def test_decoded_and_parsed_terms_share_equal_leaves(sig_fg_ab):
         assert all(len(s) == 1 for s in ids.values())
 
 
-def test_decode_rejects_negative(sig_fg_a):
+def test_decode_rejects_negative():
     with pytest.raises(CodecError):
-        nat2term(sig_fg_a, -1)
+        nat2term(SIG_FG_A, -1)
 
 
 def test_invalid_signature_rejected_on_use():
@@ -139,21 +141,21 @@ def test_invalid_signature_rejected_on_use():
         term2nat(bad, Const("a"))
 
 
-def test_ranterm_deterministic(sig_fg_ab):
-    a = [print_term(ranterm(sig_fg_ab, 64, random.Random(9))) for _ in range(5)]
-    b = [print_term(ranterm(sig_fg_ab, 64, random.Random(9))) for _ in range(5)]
+def test_ranterm_deterministic():
+    a = [print_term(ranterm(SIG_FG_AB, 64, random.Random(9))) for _ in range(5)]
+    b = [print_term(ranterm(SIG_FG_AB, 64, random.Random(9))) for _ in range(5)]
     assert a == b
 
 
-def test_ranterm_draws_distinct_terms(sig_fg_ab):
+def test_ranterm_draws_distinct_terms():
     rng = random.Random(3)
-    seen = {print_term(ranterm(sig_fg_ab, 128, rng)) for _ in range(50)}
+    seen = {print_term(ranterm(SIG_FG_AB, 128, rng)) for _ in range(50)}
     assert len(seen) > 1
 
 
-def test_ranterm_domain_errors(sig_fg_ab):
+def test_ranterm_domain_errors():
     with pytest.raises(CodecError):
-        ranterm(sig_fg_ab, 0, random.Random(0))
+        ranterm(SIG_FG_AB, 0, random.Random(0))
     with pytest.raises(CodecError):
         ranterm(Signature(("X",), (), ()), 8, random.Random(0))
 
