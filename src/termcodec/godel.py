@@ -15,7 +15,9 @@ import random
 from functools import lru_cache
 
 from .errors import CodecError, check_min
-from .terms import Compound, Const, Signature, Term, Var, _bitpars, _leaf, validate_signature
+from .terms import (
+    Compound, Const, Signature, Term, Var, _bitpars, _gc_paused, _leaf, validate_signature,
+)
 from .tuples import _merge, _split
 
 
@@ -79,6 +81,7 @@ def term2nat(sig: Signature, t: Term) -> int:
     return codes[0]
 
 
+@_gc_paused
 def nat2term(sig: Signature, n: int) -> Term:
     """Decode any natural to a term; inverse of term2nat.
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .bbase import _as_bits, from_bbase, to_bbase
 from .errors import CodecError, check_iterable, check_min
-from .terms import Atom, Compound, Const, Term, Var, _bitpars, _leaf
+from .terms import Atom, Compound, Const, Term, Var, _bitpars, _gc_paused, _leaf
 from .tuples import _merge, _split
 
 
@@ -56,6 +56,7 @@ def term2bitpars(t: Term) -> tuple[list[int], list[Atom]]:
     return (bits[1:-1] if isinstance(t, Compound) else bits), atoms  # less t's member 0 ... 1
 
 
+@_gc_paused
 def bitpars2term(ps, atoms) -> Term:
     """Rebuild a term from its skeleton and atom list; inverse of term2bitpars.
 

@@ -14,6 +14,7 @@ variable name denote the same variable.
 from __future__ import annotations
 
 import re
+from functools import wraps
 
 from .errors import CodecError, ParseError, SignatureError
 
@@ -172,6 +173,29 @@ def _found(token: str) -> str:
     return repr(token) if token else "end of input"
 
 
+def _gc_paused(build):
+    """Wrap the bulk tree builder build so that cyclic GC is off while it
+    runs: its nodes are all live, so collections during a build would
+    traverse them again and again and find nothing to free. GC is turned off
+    only if it is on, and back on when build returns or raises; a nested
+    call, or a caller that turned GC off, leaves it as it was."""
+
+    @wraps(build)
+    def paused(*args, **kwargs):
+        import gc  # here, not at the top: importing termcodec loads no gc
+
+        if not gc.isenabled():
+            return build(*args, **kwargs)
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
+
+
+@_gc_paused
 def parse_term(text: str) -> Term:
     """Parse term text; raises ParseError with the offending position.
 
@@ -392,14 +416,15 @@ def parse_signature(text: str) -> Signature:
 
 
 def load_signature(path: str) -> Signature:
-    """Read and parse a UTF-8 signature file; a byte that is not UTF-8 is a
-    SignatureError naming the file and the byte's offset."""
+    """Read and parse a UTF-8 signature file, less a leading byte-order mark;
+    a byte that is not UTF-8 is a SignatureError naming the file and the
+    byte's offset in the file."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8")  # not utf-8-sig, whose offsets skip the mark
     except UnicodeDecodeError as exc:
         raise SignatureError(
             f"{path}: invalid UTF-8 at byte offset {exc.start} ({data[exc.start]:#04x})"
         ) from None
-    return parse_signature(text)
+    return parse_signature(text.removeprefix("\ufeff"))

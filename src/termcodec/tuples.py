@@ -8,11 +8,31 @@ Both directions slice bin(n)[2:], read most significant bit first: member j
 is every k-th character from the string index of bit j, so nothing is
 reversed. Strided slices and int<->binary-string conversions run at C
 speed, which keeps million-bit operands linear-time.
+
+Most calls from the term codecs are pairs of small members, where the
+strings cost more than the bits. There, two 256-entry byte tables take
+over (the table lookup of Morton's interleave): _SPREAD moves the bits of a
+byte to the even positions of 16 bits, and _DEAL packs a byte's even bits
+and its odd bits into one int. _split(2, n) reads _DEAL for n < 2**16, and
+_merge([a, b]) reads _SPREAD for a, b < 256; every other call takes the
+strided path.
 """
 
 from __future__ import annotations
 
 from .errors import CodecError, check_iterable, check_min
+
+# Built by doubling, which keeps the import cost to tens of microseconds:
+# each step appends a copy of every entry so far with the next bit of b set.
+# Entries are ints, not pairs: 256 tuples would be tracked by the cyclic GC
+# and bring its start-up collections forward, into later imports.
+_SPREAD = [0]  # _SPREAD[b]: bit i of b moved to bit 2i
+for _bit in 1, 4, 0x10, 0x40, 0x100, 0x400, 0x1000, 0x4000:
+    _SPREAD += [v | _bit for v in _SPREAD]
+_DEAL = [0]  # _DEAL[b]: bits 0, 2, 4, 6 of b as bits 0-3, and bits 1, 3, 5, 7 as bits 8-11
+for _bit in 1, 0x100, 2, 0x200, 4, 0x400, 8, 0x800:
+    _DEAL += [v | _bit for v in _DEAL]
+del _bit
 
 
 def k_deflate(k: int, n: int) -> int:
@@ -31,7 +51,13 @@ def k_inflate(k: int, n: int) -> int:
 
 
 def _split(k: int, n: int) -> list[int]:
-    """to_tuple without its checks: k >= 1 and n >= 0 must hold."""
+    """to_tuple without its checks: k >= 1 and n >= 0 must hold.
+
+    A pair from n < 2**16 is two _DEAL lookups, one per byte of n: the
+    high byte's even and odd bits land 4 above the low byte's."""
+    if k == 2 and n < 0x10000:
+        m = _DEAL[n & 0xFF] | _DEAL[n >> 8] << 4
+        return [m & 0xFF, m >> 8]
     if k == 1:
         return [n]
     bits = bin(n)[2:]
@@ -43,9 +69,15 @@ def _split(k: int, n: int) -> list[int]:
 
 
 def _merge(ns: list[int]) -> int:
-    """from_tuple without its checks: ns must be a non-empty list of naturals."""
+    """from_tuple without its checks: ns must be a non-empty list of naturals.
+
+    A pair of members below 256 is two _SPREAD lookups."""
     k = len(ns)
-    if k == 1:
+    if k == 2:
+        a, b = ns
+        if a < 0x100 and b < 0x100:
+            return _SPREAD[a] | _SPREAD[b] << 1
+    elif k == 1:
         return ns[0]
     width = max(ns).bit_length()  # shorter members get leading zeros
     if width == 0:

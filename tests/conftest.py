@@ -1,5 +1,7 @@
 import importlib.util
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 from termcodec import Signature, nat2term
@@ -19,6 +21,7 @@ SIG_FG_AB = Signature(("X", "Y"), ("a", "b"), (("f", 2), ("g", 1)))
 SIG_IMP = Signature(("A", "B"), ("z",), (("imp", 2),))
 SIG_H3 = Signature(("X",), ("a",), (("h", 3), ("g", 1), ("f", 2)))
 NOT_UTF8_SIG = str(Path(__file__).with_name("not_utf8.sig"))  # "vars: X", then the byte 0xff
+BOM_SIG = str(Path(__file__).with_name("bom.sig"))  # a byte-order mark, then X / a / f/2
 
 
 def plain(sig):
@@ -35,3 +38,21 @@ def random_codes(seed: int, count: int, max_bits: int = 4096) -> list[int]:
 def random_terms(sig: Signature, count: int, seed: int, max_bits: int = 120):
     """The terms that random_codes decode to under sig."""
     return (nat2term(sig, n) for n in random_codes(seed, count, max_bits))
+
+
+def loaded_by_cli_import(names) -> list[str]:
+    """Which of names a fresh interpreter without site has loaded once it
+    imports the CLI from src: a footprint counted in modules, not seconds."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import termcodec.cli\n"
+        f"for name in {tuple(names)!r}:\n"
+        "    if name in sys.modules:\n"
+        "        print(name)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True, check=True
+    )
+    return run.stdout.split()

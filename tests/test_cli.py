@@ -10,7 +10,7 @@ import termcodec
 from termcodec import cli, print_term, ranterm
 from termcodec.cli import main
 
-from conftest import NOT_UTF8_SIG, SIG_FG_AB
+from conftest import BOM_SIG, NOT_UTF8_SIG, SIG_FG_AB
 
 SIG_TEXT = "vars: X Y\nconsts: a\nfuns: f/2 g/1\n"
 
@@ -38,6 +38,15 @@ def test_decode_term(capsys, sig_file):
     code, out, _ = run(capsys, "decode-term", "--sig", sig_file, "17439")
     assert code == 0
     assert out == "f(a,f(X,g(Y)))\n"
+
+
+def test_signature_file_with_a_byte_order_mark(capsys, tmp_path):
+    plain = tmp_path / "plain.sig"
+    plain.write_bytes(Path(BOM_SIG).read_bytes().removeprefix(b"\xef\xbb\xbf"))
+    assert run(capsys, "decode-term", "--sig", BOM_SIG, "3") == (0, "f(a,X)\n", "")
+    assert run(capsys, "decode-term", "--sig", BOM_SIG, "2012") == run(
+        capsys, "decode-term", "--sig", str(plain), "2012"
+    )
 
 
 def test_encode_decode_pipe(capsys, sig_file):

@@ -7,13 +7,12 @@ importing the CLI no longer loads dataclasses and what it pulled in."""
 
 import copy
 import pickle
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from termcodec import Compound, Const, Signature, Var, parse_term
+
+from conftest import loaded_by_cli_import
 
 T = parse_term("f(X,g(a,7))")
 SIG = Signature(("X",), ("a",), (("f", 2),))
@@ -142,18 +141,4 @@ def test_wrong_arguments_are_a_type_error(make):
 
 
 def test_cli_import_loads_no_dataclasses():
-    """Counted in modules, not seconds: a fresh interpreter without site
-    imports the CLI from src and lists which of these modules it loaded."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = (
-        "import sys\n"
-        "sys.path.insert(0, sys.argv[1])\n"
-        "import termcodec.cli\n"
-        "for name in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize'):\n"
-        "    if name in sys.modules:\n"
-        "        print(name)\n"
-    )
-    run = subprocess.run(
-        [sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True, check=True
-    )
-    assert run.stdout.split() == []
+    assert loaded_by_cli_import(("dataclasses", "inspect", "ast", "dis", "tokenize")) == []

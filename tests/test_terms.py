@@ -21,6 +21,8 @@ from termcodec import (
 )
 from termcodec.terms import MAX_ARITY
 
+from conftest import BOM_SIG
+
 
 def test_parse_leaves():
     assert parse_term("X") == Var("X")
@@ -239,6 +241,18 @@ def test_load_signature(tmp_path):
     assert load_signature(str(path)) == Signature(
         ("X", "Y"), ("a",), (("f", 2), ("g", 1))
     )
+
+
+def test_load_signature_drops_a_byte_order_mark():
+    assert load_signature(BOM_SIG) == Signature(("X",), ("a",), (("f", 2),))
+
+
+def test_byte_order_mark_keeps_the_files_own_offsets(tmp_path):
+    path = tmp_path / "bom_bad.sig"
+    path.write_bytes(b"\xef\xbb\xbfvars: X\xff")  # 0xff is byte 10 of the file
+    with pytest.raises(SignatureError) as info:
+        load_signature(str(path))
+    assert str(info.value) == f"{path}: invalid UTF-8 at byte offset 10 (0xff)"
 
 
 # Text over the term alphabet, whole tokens among it so that some of it
