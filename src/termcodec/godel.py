@@ -7,6 +7,11 @@ and a payload, and the payload splits into one code per argument via the
 tuple codec at the functor's arity. Decoding is total on the naturals
 whenever at least one functor is declared, and every argument code is
 strictly smaller than its parent's, so decoding always terminates.
+
+The small codes that recur at the bottom of every decoded term are decoded
+once per signature, into a table of shared nodes (_nodes): nat2term takes
+each code below the table's bound from it and builds only the compounds
+above them.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from .terms import (
 )
 from .tuples import _merge, _split
 
+TABLE_SLOTS = 1 << 10  # argument slots that the compounds of one node table hold in all
+
 
 def _table(sig: Signature):
     """The cached _index of sig, or the SignatureError of a sig it cannot hash."""
@@ -32,15 +39,35 @@ def _table(sig: Signature):
 
 @lru_cache(maxsize=None)
 def _index(sig: Signature):
-    """Validate sig once, then index it: the code of every leaf atom, the
-    functor indexes, and the node of every leaf code, shared by all terms
-    decoded under sig. One index serves variables and constants because the
+    """Validate sig once, then index it: the code of every leaf atom and the
+    functor indexes. One index serves variables and constants because the
     leaf rule (terms._leaf) never gives a variable and a constant one name."""
     validate_signature(sig)
     leaf_ix = {a: i for i, a in enumerate(sig.vars + sig.consts)}
     fun_ix = {fk: i for i, fk in enumerate(sig.funs)}
-    leaves = tuple(Var(v) for v in sig.vars) + tuple(Const(c) for c in sig.consts)
-    return leaf_ix, fun_ix, leaves
+    return leaf_ix, fun_ix
+
+
+@lru_cache(maxsize=None)
+def _nodes(sig: Signature) -> tuple[Term, ...]:
+    """The one shared node of every code below the table's length, for a sig
+    that _table has validated: the leaves, then the compounds in code order,
+    each built from earlier entries (an argument's code is below its
+    parent's). Building stops before the compounds' argument tuples would
+    hold more than TABLE_SLOTS slots in all, so the table has at most
+    lv + lc + TABLE_SLOTS entries; a functor of arity above TABLE_SLOTS
+    leaves the leaves alone."""
+    table = [Var(v) for v in sig.vars] + [Const(c) for c in sig.consts]
+    lvc, lf, funs = sig.lvc, sig.lf, sig.funs
+    slots = TABLE_SLOTS
+    while lf:
+        payload, label = divmod(len(table) - lvc, lf)
+        name, arity = funs[label]
+        slots -= arity
+        if slots < 0:
+            break
+        table.append(Compound(name, tuple([table[c] for c in _split(arity, payload)])))
+    return tuple(table)
 
 
 def term2nat(sig: Signature, t: Term) -> int:
@@ -49,7 +76,7 @@ def term2nat(sig: Signature, t: Term) -> int:
     Folds the checked walk: a leaf pushes its code, and a close replaces the
     codes pushed since its compound opened with the compound's code.
     """
-    leaf_ix, fun_ix, _ = _table(sig)
+    leaf_ix, fun_ix = _table(sig)
     lvc, lf = sig.lvc, sig.lf
     ps, atoms = _bitpars("term2nat", t, (0, 1, 2))
     atom_at = iter(atoms).__next__
@@ -85,10 +112,13 @@ def term2nat(sig: Signature, t: Term) -> int:
 def nat2term(sig: Signature, n: int) -> Term:
     """Decode any natural to a term; inverse of term2nat.
 
-    Uses explicit work lists: a signature with a unary functor yields
-    nesting depth proportional to the code's bitsize.
+    Every subterm whose code is below the length of sig's node table
+    (_nodes, built by the first call under sig) is that table's shared
+    node, so equal small subterms are one object. Uses explicit work lists:
+    a signature with a unary functor yields nesting depth proportional to
+    the code's bitsize.
     """
-    leaves = _table(sig)[2]
+    _table(sig)
     check_min("nat2term", "code", n, 0)
     lvc, lf = sig.lvc, sig.lf
     if lf == 0 and n >= lvc:
@@ -97,18 +127,21 @@ def nat2term(sig: Signature, n: int) -> Term:
             f"signature declares none (codes beyond {lvc - 1} are undecodable)"
         )
     funs = sig.funs
+    table = _nodes(sig)
+    small = len(table)
     # Preorder that visits the last argument first: reversed, it lists every
-    # compound right after its arguments. A compound is kept as lvc + its
-    # functor index, so every entry is a small int.
+    # compound right after its arguments. A table code is kept as itself and
+    # a compound above the table as ~(its functor index), so every entry is
+    # a small int and the sign tells them apart.
     order: list[int] = []
     work = [n]
     while work:
         c = work.pop()
-        if c < lvc:
+        if c < small:
             order.append(c)
             continue
         payload, label = divmod(c - lvc, lf)
-        order.append(lvc + label)
+        order.append(~label)
         arity = funs[label][1]
         if arity == 1:
             work.append(payload)
@@ -116,10 +149,10 @@ def nat2term(sig: Signature, n: int) -> Term:
             work.extend(_split(arity, payload))
     nodes: list[Term] = []
     for x in reversed(order):
-        if x < lvc:
-            nodes.append(leaves[x])
+        if x >= 0:
+            nodes.append(table[x])
             continue
-        name, arity = funs[x - lvc]
+        name, arity = funs[~x]
         if arity == 1:
             nodes[-1] = Compound(name, (nodes[-1],))
         else:

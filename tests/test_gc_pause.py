@@ -5,6 +5,7 @@ left it after the build returns or raises, that a nested build leaves it off
 until the outermost one returns, and that importing the CLI does not load gc."""
 
 import gc
+import random
 
 import pytest
 
@@ -12,12 +13,14 @@ from termcodec import (
     CodecError,
     Compound,
     ParseError,
+    Signature,
     bitpars2term,
     code2term,
     godel,
     inj_code2term,
     nat2term,
     parse_term,
+    ranterm,
     skeleton,
     terms,
     term2bitpars,
@@ -84,6 +87,23 @@ def test_gc_is_off_in_a_build_and_the_callers_after_it(gc_seen, name, raises, ca
     assert gc.isenabled() is caller_gc
     if name != "nat2term" or not raises:
         assert seen and not any(seen)
+
+
+# the first decode under a signature: a leaf code, so every compound it
+# builds is one of the signature's node table
+FIRST_DECODES = {
+    "nat2term": lambda sig: nat2term(sig, 0),
+    "ranterm": lambda sig: ranterm(sig, 1, random.Random(0)),
+}
+
+
+@pytest.mark.parametrize("name", FIRST_DECODES)
+def test_the_first_decode_builds_the_node_table_with_gc_off(gc_seen, name):
+    sig = Signature(("X",), ("a",), ((f"first_{name}", 2), ("g", 1)))  # no other test uses it
+    seen = gc_seen("nat2term")
+    FIRST_DECODES[name](sig)
+    assert len(seen) == len(godel._nodes(sig)) - sig.lvc > 0
+    assert not any(seen)
 
 
 def test_nested_builds_leave_gc_off_until_the_outermost_returns(gc_seen):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -16,8 +17,9 @@ from termcodec import (
     ranterm,
     term2nat,
 )
+from termcodec.godel import TABLE_SLOTS, _nodes
 
-from conftest import SIG_FG_A, SIG_FG_AB, SIG_IMP
+from conftest import SIG_FG_A, SIG_FG_AB, SIG_H3, SIG_IMP, plain, ref
 
 
 def test_encode_worked_example():
@@ -65,8 +67,72 @@ def test_deep_unary_chain():
 def test_signature_without_functors_is_finite():
     sig = Signature(("X",), ("a", "b"), ())
     assert [nat2term(sig, n) for n in range(3)] == [Var("X"), Const("a"), Const("b")]
-    with pytest.raises(CodecError):
+    assert _nodes(sig) == (Var("X"), Const("a"), Const("b"))
+    with pytest.raises(CodecError, match=r"^nat2term: code 3 requires a function symbol but "
+                       r"the signature declares none \(codes beyond 2 are undecodable\)$"):
         nat2term(sig, 3)
+
+
+WIDE = Signature(("X",), ("a",), (("f", 65_536),))
+MANY_VARS = Signature(tuple(f"V{i}" for i in range(2_000)), ("a",), (("f", 2), ("g", 1)))
+
+
+@pytest.mark.parametrize("sig", [SIG_FG_AB, SIG_IMP, SIG_H3, MANY_VARS],
+                         ids=["fg_ab", "imp", "h3", "many_vars"])
+def test_small_codes_decode_to_their_shared_table_nodes(sig):
+    table = _nodes(sig)
+    for c in range(len(table) + 64):
+        t = nat2term(sig, c)
+        assert print_term(t) == ref.nat2term(plain(sig), c)
+        if c < len(table):
+            assert t is table[c]
+
+
+@pytest.mark.parametrize("sig", [SIG_FG_AB, SIG_IMP, SIG_H3, MANY_VARS, WIDE],
+                         ids=["fg_ab", "imp", "h3", "many_vars", "wide"])
+def test_node_table_holds_at_most_its_slot_bound(sig):
+    table = _nodes(sig)
+    slots = sum(len(t.args) for t in table[sig.lvc:])
+    assert len(table) <= sig.lvc + TABLE_SLOTS and slots <= TABLE_SLOTS
+    next_arity = sig.funs[(len(table) - sig.lvc) % sig.lf][1]
+    assert slots + next_arity > TABLE_SLOTS  # the next compound would pass the bound
+
+
+def test_node_table_size_for_the_example_signature():
+    "341 f/g pairs take 1023 slots; the next f would take two more."
+    assert len(_nodes(SIG_FG_AB)) == 4 + 682
+
+
+def test_a_wide_functor_leaves_a_table_of_leaves():
+    start = time.perf_counter()
+    table = _nodes.__wrapped__(WIDE)  # built afresh, not read from the cache
+    assert time.perf_counter() - start < 0.01
+    assert table == _nodes(WIDE) == (Var("X"), Const("a"))
+    assert print_term(nat2term(WIDE, 5)) == ref.nat2term(plain(WIDE), 5)
+
+
+def test_small_subterms_of_a_large_decoded_term_are_table_nodes():
+    table = _nodes(SIG_FG_AB)
+    n = random.Random(24).getrandbits(10**4)
+    work = [(nat2term(SIG_FG_AB, n), n)]  # each subterm with its code
+    shared = 0
+    while work:
+        t, c = work.pop()
+        if c < len(table):
+            assert t is table[c]
+            shared += 1
+        if isinstance(t, Compound):
+            payload = (c - SIG_FG_AB.lvc) // SIG_FG_AB.lf
+            work.extend(zip(t.args, ref.to_tuple(len(t.args), payload)))
+    assert shared > 1000
+
+
+def test_encoding_builds_no_node_table():
+    sig = Signature(("X",), ("a",), (("enc", 2),))  # no other test decodes under it
+    before = _nodes.cache_info().currsize
+    text = "enc(a,enc(X,a))"
+    assert term2nat(sig, parse_term(text)) == ref.term2nat(plain(sig), text)
+    assert _nodes.cache_info().currsize == before
 
 
 def test_encode_rejects_foreign_symbols():
