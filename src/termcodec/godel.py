@@ -9,9 +9,9 @@ whenever at least one functor is declared, and every argument code is
 strictly smaller than its parent's, so decoding always terminates.
 
 The small codes that recur at the bottom of every decoded term are decoded
-once per signature, into a table of shared nodes (_nodes): nat2term takes
-each code below the table's bound from it and builds only the compounds
-above them.
+once per signature, into a table of shared nodes (_nodes, kept for the
+CACHED_SIGNATURES signatures used last): nat2term takes each code below the
+table's bound from it and builds only the compounds above them.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .terms import (
 from .tuples import _merge, _split
 
 TABLE_SLOTS = 1 << 10  # argument slots that the compounds of one node table hold in all
+CACHED_SIGNATURES = 32  # signatures whose index and node table stay cached, least recent dropped first
 
 
 def _table(sig: Signature):
@@ -37,7 +38,7 @@ def _table(sig: Signature):
         raise
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHED_SIGNATURES)
 def _index(sig: Signature):
     """Validate sig once, then index it: the code of every leaf atom and the
     functor indexes. One index serves variables and constants because the
@@ -48,7 +49,7 @@ def _index(sig: Signature):
     return leaf_ix, fun_ix
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHED_SIGNATURES)
 def _nodes(sig: Signature) -> tuple[Term, ...]:
     """The one shared node of every code below the table's length, for a sig
     that _table has validated: the leaves, then the compounds in code order,

@@ -4,7 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from termcodec import Signature, nat2term
+from termcodec import Compound, Signature, nat2term
 
 
 # The one plain reference per codec, written from the paper's definitions;
@@ -38,6 +38,17 @@ def random_codes(seed: int, count: int, max_bits: int = 4096) -> list[int]:
 def random_terms(sig: Signature, count: int, seed: int, max_bits: int = 120):
     """The terms that random_codes decode to under sig."""
     return (nat2term(sig, n) for n in random_codes(seed, count, max_bits))
+
+
+def subterms(t):
+    """Every node of t, once per occurrence, in preorder from the left; a
+    work list, not recursion, so any depth will do."""
+    work = [t]
+    while work:
+        node = work.pop()
+        yield node
+        if isinstance(node, Compound):
+            work += reversed(node.args)
 
 
 def loaded_by_cli_import(names) -> list[str]:

@@ -9,10 +9,11 @@ import random
 import time
 
 from termcodec import (
-    Compound,
+    bitpars2term,
     code2term,
     from_bbase,
     from_tuple,
+    inj_code2term,
     k_deflate,
     k_inflate,
     nat2nats,
@@ -33,7 +34,7 @@ from termcodec import (
 )
 from termcodec.cli import main
 
-from conftest import SIG_FG_A, SIG_FG_AB, SIG_IMP, ref
+from conftest import SIG_FG_A, SIG_FG_AB, SIG_IMP, ref, subterms
 
 
 def test_c01_inflate_deflate_value_and_speed():
@@ -73,7 +74,8 @@ def test_c04_decode_worked_example_two_constants():
 def test_c05_decode_worked_example_implication():
     t = nat2term(SIG_IMP, 2012)
     assert print_term(t) == "imp(imp(imp(B,A),imp(z,A)),imp(imp(z,A),B))"
-    print("C5 PASS: nat2term(2012) over imp/2 matches the pinned formula")
+    assert term2nat(SIG_IMP, t) == 2012
+    print("C5 PASS: nat2term(2012) over imp/2 matches the pinned formula, re-encodes to 2012")
 
 
 def test_c06_bijective_base_worked_example():
@@ -84,22 +86,27 @@ def test_c06_bijective_base_worked_example():
 
 def test_c07_string_worked_examples():
     assert string2nat("hello") == 7073802
+    assert nat2string(7073802) == "hello"
     assert nat2string(2012) == "jyb"
-    print("C7 PASS: string2nat('hello')=7073802, nat2string(2012)='jyb'")
+    print("C7 PASS: string2nat('hello')=7073802 and back, nat2string(2012)='jyb'")
 
 
 def test_c08_bitpars_worked_example():
-    ps, atoms = term2bitpars(parse_term("f(g(a,X),X,42)"))
+    t = parse_term("f(g(a,X),X,42)")
+    ps, atoms = term2bitpars(t)
     assert ps == [0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 1, 1, 1, 0, 1, 0, 1, 1]
     assert atoms == ["f", "g", "a", "X", "X", 42]
-    print("C8 PASS: term2bitpars gives the pinned 18-symbol skeleton and atoms")
+    assert bitpars2term(ps, atoms) == t
+    print("C8 PASS: term2bitpars gives the pinned 18-symbol skeleton and atoms, bitpars2term inverts")
 
 
 def test_c09_inj_code_worked_example():
-    code, atoms = term2inj_code(parse_term("f(a,g(X,Y),g(Y,X))"))
+    t = parse_term("f(a,g(X,Y),g(Y,X))")
+    code, atoms = term2inj_code(t)
     assert code == 131364115
     assert atoms == ["f", "a", "g", "X", "Y", "g", "Y", "X"]
-    print("C9 PASS: term2inj_code=131364115")
+    assert inj_code2term(code, atoms) == t
+    print("C9 PASS: term2inj_code=131364115, inj_code2term inverts")
 
 
 def test_c10_nats_worked_example():
@@ -147,24 +154,13 @@ def test_c14_tuple_oracle_equivalence():
     print("C14 PASS: tuple codec matches the base-2^k digit-matrix oracle")
 
 
-def _node_count(t) -> int:
-    count = 0
-    work = [t]
-    while work:
-        x = work.pop()
-        count += 1
-        if isinstance(x, Compound):
-            work.extend(x.args)
-    return count
-
-
 def test_c15_performance_and_size():
     code = random.Random(0).getrandbits(20_000)
     t0 = time.perf_counter()
     t = nat2term(SIG_FG_AB, code)
     recoded = term2nat(SIG_FG_AB, t)
     elapsed = time.perf_counter() - t0
-    nodes = _node_count(t)
+    nodes = sum(1 for _ in subterms(t))
     assert nodes >= 10_000, f"random term has {nodes} nodes, need >= 10^4"
     assert recoded == code
     assert elapsed < 5, f"encode+decode of a {nodes}-node term took {elapsed:.2f}s"

@@ -13,7 +13,7 @@ from termcodec.errors import check_iterable
 from termcodec.skeleton import _bit_bytes, _functor_name
 from termcodec.terms import Atom, Term, _leaf
 
-from conftest import SIG_FG_AB, random_terms
+from conftest import SIG_FG_AB, random_terms, subterms
 
 
 def reference_bitpars2term(ps, atoms) -> Term:
@@ -100,15 +100,7 @@ ATOM_LISTS = [
 def _leaf_sharing(t):
     """The leaves of t in order, each numbered by the first occurrence of its node."""
     first: dict[int, int] = {}
-    order = []
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Compound):
-            stack += reversed(node.args)
-        else:
-            order.append(first.setdefault(id(node), len(first)))
-    return order
+    return [first.setdefault(id(x), len(first)) for x in subterms(t) if not isinstance(x, Compound)]
 
 
 def _outcome(decode, ps, atoms):

@@ -1,5 +1,4 @@
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,10 +6,10 @@ from pathlib import Path
 import pytest
 
 import termcodec
-from termcodec import cli, print_term, ranterm
+from termcodec import cli
 from termcodec.cli import main
 
-from conftest import BOM_SIG, NOT_UTF8_SIG, SIG_FG_AB
+from conftest import BOM_SIG, NOT_UTF8_SIG
 
 SIG_TEXT = "vars: X Y\nconsts: a\nfuns: f/2 g/1\n"
 
@@ -28,16 +27,63 @@ def run(capsys, *argv):
     return code, out, err
 
 
-def test_encode_term(capsys, sig_file):
-    code, out, err = run(capsys, "encode-term", "--sig", sig_file, "f(a,f(X,g(Y)))")
-    assert (code, err) == (0, "")
-    assert out == "17439\n"
+# One row per subcommand run, in _SUBCOMMANDS order: argv, where SIGFILE
+# stands for a file holding SIG_TEXT, and the exact stdout. Each run exits 0
+# and writes nothing to stderr.
+OUTPUTS = [
+    (["encode-term", "--sig", "SIGFILE", "f(a,f(X,g(Y)))"], "17439\n"),
+    (["encode-term", "--sig", "SIGFILE", "f(g(X),f(Y,a))"], "1127\n"),
+    (["decode-term", "--sig", "SIGFILE", "17439"], "f(a,f(X,g(Y)))\n"),
+    (["decode-term", "--sig", "SIGFILE", "1127"], "f(g(X),f(Y,a))\n"),
+    (["skeleton-encode", "f(a,g(X,Y),g(Y,X))"], "786632\nf,a,g,X,Y,g,Y,X\n"),
+    (["skeleton-encode", "f(g(a,X),X,42)"], "131112\nf,g,a,X,X,42\n"),
+    (["skeleton-decode", "786632", "--atoms", "f,a,g,X,Y,g,Y,X"], "f(a,g(X,Y),g(Y,X))\n"),
+    (["skeleton-decode", "131112", "--atoms", "f,g,a,X,X,42"], "f(g(a,X),X,42)\n"),
+    (["inj-encode", "f(a,g(X,Y),g(Y,X))"], "131364115\nf,a,g,X,Y,g,Y,X\n"),
+    (["inj-decode", "131364115", "--atoms", "f,a,g,X,Y,g,Y,X"], "f(a,g(X,Y),g(Y,X))\n"),
+    (["pars", "2012"], "((((())))(((())))(()()))\n"),
+    (["pars", "0"], "()\n"),
+    (["unpars", "((((())))(((())))(()()))"], "2012\n"),
+    (["listnat", "7,7,2"], "2012\n"),
+    (["listnat", ""], "0\n"),
+    (["natlist", "2012"], "7,7,2\n"),
+    (["natlist", "0"], "\n"),
+    (["tuple", "-k", "3", "42"], "2,1,2\n"),
+    (["untuple", "2,1,2"], "42\n"),
+    (["bbase", "-b", "7", "2012"], "2,6,4,4\n"),
+    (["unbbase", "-b", "7", "2,6,4,4"], "2012\n"),
+    (["atom-encode", "hello"], "7073802\n"),
+    (["atom-decode", "2012"], "jyb\n"),
+    (["random-term", "--sig", "SIGFILE", "--bits", "48", "--seed", "7", "--count", "4"],
+     "g(g(f(g(f(g(f(f(Y,f(X,X)),Y)),f(f(a,a),g(f(Y,X))))),g(g(f(g(g(g(g(f(g(X),X))))),g(g(f(Y,f(Y,X))))))))))\n"
+     "f(g(g(g(f(f(g(g(a)),g(Y)),f(a,Y))))),f(g(f(g(a),f(f(X,X),X))),g(f(g(g(Y)),g(f(X,X))))))\n"
+     "g(g(f(f(g(g(g(g(g(X))))),g(g(g(f(X,f(X,Y)))))),f(f(f(a,a),f(a,X)),f(f(Y,Y),X)))))\n"
+     "f(g(g(g(f(g(f(f(f(X,X),X),f(Y,X))),g(g(g(g(f(f(X,X),f(X,X)))))))))),g(f(g(f(g(f(Y,Y)),f(X,X))),g(g(g(f(Y,f(X,Y))))))))\n"),
+    (["random-term", "--sig", "SIGFILE", "--bits", "48", "--seed", "8", "--count", "4"],
+     "f(g(g(g(f(f(f(X,Y),f(f(X,X),X)),g(g(g(f(g(Y),Y)))))))),g(f(g(f(f(X,f(X,X)),f(a,Y))),g(g(g(f(Y,f(X,Y))))))))\n"
+     "f(g(g(g(g(g(f(g(g(f(X,g(X)))),g(f(X,f(X,X))))))))),f(f(Y,g(f(Y,X))),f(g(X),f(X,f(X,X)))))\n"
+     "f(f(g(Y),g(g(g(g(f(f(X,X),f(Y,X))))))),f(f(f(X,a),g(f(a,X))),g(g(f(X,g(X))))))\n"
+     "g(f(g(f(f(f(a,Y),a),g(g(f(f(Y,X),g(Y)))))),g(g(g(f(f(f(Y,X),g(a)),f(g(a),f(X,Y))))))))\n"),
+    (["roundtrip", "--sig", "SIGFILE", "--max", "0"], "ok 1 checked\n"),
+    (["roundtrip", "--sig", "SIGFILE", "--max", "500"], "ok 501 checked\n"),
+    (["stats", "--sig", "SIGFILE", "--bits", "64", "--seed", "1", "--count", "5"],
+     "bits=64 chars=137 skeleton=232 ratio=0.4672\n"
+     "bits=64 chars=140 skeleton=238 ratio=0.4571\n"
+     "bits=61 chars=114 skeleton=194 ratio=0.5351\n"
+     "bits=61 chars=142 skeleton=246 ratio=0.4296\n"
+     "bits=64 chars=118 skeleton=204 ratio=0.5424\n"
+     "ratio min=0.4296 max=0.5424 mean=0.4863\n"),
+]
 
 
-def test_decode_term(capsys, sig_file):
-    code, out, _ = run(capsys, "decode-term", "--sig", sig_file, "17439")
-    assert code == 0
-    assert out == "f(a,f(X,g(Y)))\n"
+@pytest.mark.parametrize("argv,stdout", OUTPUTS, ids=[" ".join(argv) for argv, _ in OUTPUTS])
+def test_subcommand_output(capsys, sig_file, argv, stdout):
+    argv = [sig_file if a == "SIGFILE" else a for a in argv]
+    assert run(capsys, *argv) == (0, stdout, "")
+
+
+def test_output_table_runs_every_subcommand_in_order():
+    assert list(dict.fromkeys(argv[0] for argv, _ in OUTPUTS)) == [row[0] for row in cli._SUBCOMMANDS]
 
 
 def test_signature_file_with_a_byte_order_mark(capsys, tmp_path):
@@ -47,80 +93,6 @@ def test_signature_file_with_a_byte_order_mark(capsys, tmp_path):
     assert run(capsys, "decode-term", "--sig", BOM_SIG, "2012") == run(
         capsys, "decode-term", "--sig", str(plain), "2012"
     )
-
-
-def test_encode_decode_pipe(capsys, sig_file):
-    for text in ("X", "a", "g(a)", "f(g(X),f(Y,a))"):
-        _, encoded, _ = run(capsys, "encode-term", "--sig", sig_file, text)
-        _, decoded, _ = run(capsys, "decode-term", "--sig", sig_file, encoded.strip())
-        assert decoded.strip() == text
-
-
-def test_skeleton_encode_decode(capsys):
-    code, out, _ = run(capsys, "skeleton-encode", "f(a,g(X,Y),g(Y,X))")
-    assert code == 0
-    nat, atoms = out.splitlines()
-    assert nat == "786632"
-    assert atoms == "f,a,g,X,Y,g,Y,X"
-    code, out, _ = run(capsys, "skeleton-decode", nat, "--atoms", atoms)
-    assert code == 0
-    assert out == "f(a,g(X,Y),g(Y,X))\n"
-
-
-def test_skeleton_handles_integer_leaves(capsys):
-    _, out, _ = run(capsys, "skeleton-encode", "f(g(a,X),X,42)")
-    nat, atoms = out.splitlines()
-    assert atoms == "f,g,a,X,X,42"
-    _, out, _ = run(capsys, "skeleton-decode", nat, "--atoms", atoms)
-    assert out == "f(g(a,X),X,42)\n"
-
-
-def test_inj_encode_decode(capsys):
-    code, out, _ = run(capsys, "inj-encode", "f(a,g(X,Y),g(Y,X))")
-    assert code == 0
-    nat, atoms = out.splitlines()
-    assert nat == "131364115"
-    code, out, _ = run(capsys, "inj-decode", nat, "--atoms", atoms)
-    assert code == 0
-    assert out == "f(a,g(X,Y),g(Y,X))\n"
-
-
-def test_pars_unpars(capsys):
-    code, out, _ = run(capsys, "pars", "2012")
-    assert code == 0
-    pstring = out.strip()
-    assert len(pstring) == 24
-    assert set(pstring) <= {"(", ")"}
-    code, out, _ = run(capsys, "unpars", pstring)
-    assert code == 0
-    assert out == "2012\n"
-    _, out, _ = run(capsys, "pars", "0")
-    assert out == "()\n"
-
-
-def test_listnat_natlist(capsys):
-    code, out, _ = run(capsys, "listnat", "7,7,2")
-    assert (code, out) == (0, "2012\n")
-    code, out, _ = run(capsys, "natlist", "2012")
-    assert (code, out) == (0, "7,7,2\n")
-    _, out, _ = run(capsys, "natlist", "0")
-    assert out == "\n"
-    _, out, _ = run(capsys, "listnat", "")
-    assert out == "0\n"
-
-
-def test_tuple_untuple(capsys):
-    code, out, _ = run(capsys, "tuple", "-k", "3", "42")
-    assert (code, out) == (0, "2,1,2\n")
-    code, out, _ = run(capsys, "untuple", "2,1,2")
-    assert (code, out) == (0, "42\n")
-
-
-def test_bbase_unbbase(capsys):
-    code, out, _ = run(capsys, "bbase", "-b", "7", "2012")
-    assert (code, out) == (0, "2,6,4,4\n")
-    code, out, _ = run(capsys, "unbbase", "-b", "7", "2,6,4,4")
-    assert (code, out) == (0, "2012\n")
 
 
 @pytest.mark.skipif(
@@ -140,88 +112,12 @@ def test_main_restores_the_int_digit_limit(capsys):
         sys.set_int_max_str_digits(saved)
 
 
-def test_atom_encode_decode(capsys):
-    code, out, _ = run(capsys, "atom-encode", "hello")
-    assert (code, out) == (0, "7073802\n")
-    code, out, _ = run(capsys, "atom-decode", "2012")
-    assert (code, out) == (0, "jyb\n")
-
-
-def test_random_term_deterministic(capsys, sig_file):
-    code, first, _ = run(
-        capsys, "random-term", "--sig", sig_file, "--bits", "48", "--seed", "7", "--count", "4"
-    )
-    assert code == 0
-    assert len(first.splitlines()) == 4
-    _, second, _ = run(
-        capsys, "random-term", "--sig", sig_file, "--bits", "48", "--seed", "7", "--count", "4"
-    )
-    assert first == second
-    _, third, _ = run(
-        capsys, "random-term", "--sig", sig_file, "--bits", "48", "--seed", "8", "--count", "4"
-    )
-    assert first != third
-
-
-def test_roundtrip_subcommand(capsys, sig_file):
-    code, out, _ = run(capsys, "roundtrip", "--sig", sig_file, "--max", "0")
-    assert (code, out) == (0, "ok 1 checked\n")
-    code, out, _ = run(capsys, "roundtrip", "--sig", sig_file, "--max", "500")
-    assert (code, out) == (0, "ok 501 checked\n")
-
-
 def test_roundtrip_mismatch_is_one_error_line(capsys, monkeypatch, sig_file):
     encode = cli.term2nat
     monkeypatch.setattr(cli, "term2nat", lambda sig, t: encode(sig, t) + 1)
     code, out, err = run(capsys, "roundtrip", "--sig", sig_file, "--max", "3")
     assert (code, out) == (1, "")
     assert err == "error: roundtrip: mismatch at 0: decoded X, re-encoded 1\n"
-
-
-def test_stats_reports_ratios(capsys, sig_file):
-    code, out, _ = run(
-        capsys, "stats", "--sig", sig_file, "--bits", "64", "--seed", "1", "--count", "5"
-    )
-    assert code == 0
-    lines = out.splitlines()
-    assert len(lines) == 6
-    assert all(line.startswith("bits=") for line in lines[:5])
-    assert all("skeleton=" in line for line in lines[:5])
-    assert lines[5].startswith("ratio min=")
-
-
-def test_stats_output_is_pinned(capsys, sig_file):
-    code, out, err = run(
-        capsys, "stats", "--sig", sig_file, "--bits", "64", "--seed", "1", "--count", "5"
-    )
-    assert (code, err) == (0, "")
-    assert out == (
-        "bits=64 chars=137 skeleton=232 ratio=0.4672\n"
-        "bits=64 chars=140 skeleton=238 ratio=0.4571\n"
-        "bits=61 chars=114 skeleton=194 ratio=0.5351\n"
-        "bits=61 chars=142 skeleton=246 ratio=0.4296\n"
-        "bits=64 chars=118 skeleton=204 ratio=0.5424\n"
-        "ratio min=0.4296 max=0.5424 mean=0.4863\n"
-    )
-
-
-def test_cli_roundtrip_random_terms(capsys):
-    """skeleton-encode piped into skeleton-decode is the identity on term text.
-
-    Source codes are capped at 64 bits: the skeleton code crossing the CLI
-    boundary is printed in decimal, and int-to-decimal is quadratic, so the
-    occasional deep term would turn a hundred-kilobit code into tens of
-    seconds of string conversion.
-    """
-    rng = random.Random(99)
-    for _ in range(100):
-        text = print_term(ranterm(SIG_FG_AB, rng.randint(1, 64), rng))
-        code, out, _ = run(capsys, "skeleton-encode", text)
-        assert code == 0
-        nat, atoms = out.splitlines()
-        code, out, _ = run(capsys, "skeleton-decode", nat, "--atoms", atoms)
-        assert code == 0
-        assert out.strip() == text
 
 
 @pytest.mark.parametrize(

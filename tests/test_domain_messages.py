@@ -2,7 +2,9 @@
 "<op>: <what> must be >= <least> (got <value>)", and an argument that is
 not an int "<op>: <what> must be an integer (got <value>)". A sequence
 argument that is not iterable reads "<op>: <what> must be iterable (got
-<value>)", and a signature that is not one raises SignatureError."""
+<value>)", a sequence or text outside a decoder's domain gets that
+decoder's own message, and a signature that is not one raises
+SignatureError."""
 
 import random
 from fractions import Fraction
@@ -15,11 +17,13 @@ from termcodec import (
     Signature,
     SignatureError,
     bitpars2term,
+    code2term,
     cons,
     decons,
     from_bbase,
     from_pair,
     from_tuple,
+    inj_code2term,
     k_deflate,
     k_inflate,
     load_signature,
@@ -40,6 +44,9 @@ from termcodec import (
 )
 
 from conftest import NOT_UTF8_SIG, SIG_FG_AB
+
+
+PS_FAB = [0, 0, 1, 0, 1, 0, 1, 1]  # the skeleton of f(a,b)
 
 
 class Index:
@@ -154,6 +161,30 @@ def test_int_subclasses_count_as_integers():
         (bitpars2term, ([0, Index(1)], ["a"]), "bitpars2term: skeleton symbol Index(1) is not 0 or 1"),
         (string2nat, (5,), "string2nat: argument must be a string (got 5)"),
         (parse_term, (None,), "parse_term: text must be a string (got None)"),
+        *[(string2nat, (word,), f"string2nat: character {word[i]!r} at index {i} is outside 'a'..'z'")
+          for word, i in [("Hello", 0), ("he llo", 2), ("h3llo", 1), ("hé", 1), ("a!", 1)]],
+        (from_tuple, ([],), "from_tuple: tuple must have at least one member"),
+        (bitpars2term, ([0, 0, 1, 1], ["a"]),
+         "bitpars2term: a group must hold a functor and at least one argument"),
+        (bitpars2term, ([0, 1], ["a", "b"]), "bitpars2term: leaf skeleton names 1 atom but 2 were given"),
+        (bitpars2term, ([0, 1], []), "bitpars2term: leaf skeleton names 1 atom but 0 were given"),
+        (bitpars2term, (PS_FAB, ["f", "a"]), "bitpars2term: skeleton holds more leaves than the 2 atoms given"),
+        (bitpars2term, (PS_FAB, ["f", "a", "b", "c"]),
+         "bitpars2term: skeleton holds 3 leaves but 4 atoms were given"),
+        (bitpars2term, (PS_FAB, ["X", "a", "b"]), "bitpars2term: variable X cannot fill a functor slot"),
+        (bitpars2term, (PS_FAB, [7, "a", "b"]), "bitpars2term: integer 7 cannot fill a functor slot"),
+        # the first member of the outer group is itself a group
+        (bitpars2term, ([0, 0, *PS_FAB, 1, 0, 1, 1], ["f", "a", "b", "c"]),
+         "bitpars2term: a nested group cannot fill a functor slot"),
+        (bitpars2term, ([0, 0, 1], ["a"]), "bitpars2term: skeleton ends inside an open group"),
+        (bitpars2term, ([0, 2, 1], ["a"]), "bitpars2term: skeleton symbol 2 is not 0 or 1"),
+        (bitpars2term, ([0, 1], ["not a name"]),
+         "bitpars2term: 'not a name' is not a variable, symbol, or integer"),
+        (bitpars2term, ([0, 1], [-3]), "bitpars2term: negative integer leaf -3"),
+        # the skeleton codes decode through bitpars2term, whose message they keep
+        (inj_code2term, (7, ["a"]), "bitpars2term: skeleton ends inside an open group"),
+        (inj_code2term, (0, []), "bitpars2term: skeleton must be a single group opened by 0"),
+        (code2term, (1, ["a"]), "bitpars2term: a group must hold a functor and at least one argument"),
     ],
 )
 def test_sequence_and_text_messages(function, args, message):

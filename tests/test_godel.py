@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -17,37 +18,9 @@ from termcodec import (
     ranterm,
     term2nat,
 )
-from termcodec.godel import TABLE_SLOTS, _nodes
+from termcodec.godel import CACHED_SIGNATURES, TABLE_SLOTS, _index, _nodes
 
-from conftest import SIG_FG_A, SIG_FG_AB, SIG_H3, SIG_IMP, plain, ref
-
-
-def test_encode_worked_example():
-    t = parse_term("f(a,f(X,g(Y)))")
-    assert term2nat(SIG_FG_A, t) == 17439
-    assert nat2term(SIG_FG_A, 17439) == t
-
-
-def test_decode_worked_example_two_constants():
-    t = nat2term(SIG_FG_AB, 2012)
-    assert print_term(t) == "f(f(Y,b),f(b,a))"
-    assert term2nat(SIG_FG_AB, t) == 2012
-
-
-def test_decode_worked_example_implication():
-    t = nat2term(SIG_IMP, 2012)
-    assert print_term(t) == "imp(imp(imp(B,A),imp(z,A)),imp(imp(z,A),B))"
-    assert term2nat(SIG_IMP, t) == 2012
-
-
-def test_leaf_band_order():
-    "Codes below lvc enumerate variables first, then constants, in order."
-    assert nat2term(SIG_FG_AB, 0) == Var("X")
-    assert nat2term(SIG_FG_AB, 1) == Var("Y")
-    assert nat2term(SIG_FG_AB, 2) == Const("a")
-    assert nat2term(SIG_FG_AB, 3) == Const("b")
-    assert term2nat(SIG_FG_AB, Var("X")) == 0
-    assert term2nat(SIG_FG_AB, Const("b")) == 3
+from conftest import SIG_FG_A, SIG_FG_AB, SIG_H3, SIG_IMP, plain, ref, subterms
 
 
 def test_deep_unary_chain():
@@ -71,6 +44,8 @@ def test_signature_without_functors_is_finite():
     with pytest.raises(CodecError, match=r"^nat2term: code 3 requires a function symbol but "
                        r"the signature declares none \(codes beyond 2 are undecodable\)$"):
         nat2term(sig, 3)
+    with pytest.raises(CodecError, match=r"^ranterm: signature declares no function symbols$"):
+        ranterm(Signature(("X",), (), ()), 8, random.Random(0))
 
 
 WIDE = Signature(("X",), ("a",), (("f", 65_536),))
@@ -129,10 +104,29 @@ def test_small_subterms_of_a_large_decoded_term_are_table_nodes():
 
 def test_encoding_builds_no_node_table():
     sig = Signature(("X",), ("a",), (("enc", 2),))  # no other test decodes under it
-    before = _nodes.cache_info().currsize
+    before = _nodes.cache_info().misses  # a full bounded cache keeps its currsize
     text = "enc(a,enc(X,a))"
     assert term2nat(sig, parse_term(text)) == ref.term2nat(plain(sig), text)
-    assert _nodes.cache_info().currsize == before
+    assert _nodes.cache_info().misses == before
+
+
+def test_per_signature_caches_stay_bounded():
+    """Decodes under 300 signatures keep at most CACHED_SIGNATURES indexes and
+    node tables. f/1024 fills each table's slots with one compound, so a
+    table holds about 9 KB and builds fast; the last 100 decodes are traced."""
+    sigs = [Signature(("X",), (f"bound{i}",), (("f", 1024),)) for i in range(300)]
+    for sig in sigs[:200]:
+        nat2term(sig, 1)
+    tracemalloc.start()
+    try:
+        for sig in sigs[200:]:
+            nat2term(sig, 1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert _index.cache_info().currsize <= CACHED_SIGNATURES
+    assert _nodes.cache_info().currsize <= CACHED_SIGNATURES
+    assert held < 500_000  # 32 tables hold about 300 KB; 100 would hold about 900 KB
 
 
 def test_encode_rejects_foreign_symbols():
@@ -182,21 +176,8 @@ def test_decoded_and_parsed_terms_share_equal_leaves():
     parsed = parse_term(text)
     assert parsed == t
     for term in (t, parsed):
-        ids = {}
-        work = [term]
-        while work:
-            node = work.pop()
-            if isinstance(node, Compound):
-                work.extend(node.args)
-            else:
-                ids.setdefault(node, set()).add(id(node))
-        assert len(ids) == 4  # X, Y, a and b all occur
-        assert all(len(s) == 1 for s in ids.values())
-
-
-def test_decode_rejects_negative():
-    with pytest.raises(CodecError):
-        nat2term(SIG_FG_A, -1)
+        leaves = [x for x in subterms(term) if not isinstance(x, Compound)]
+        assert len(set(leaves)) == len({id(x) for x in leaves}) == 4  # X, Y, a and b, one object each
 
 
 def test_invalid_signature_rejected_on_use():
@@ -217,13 +198,6 @@ def test_ranterm_draws_distinct_terms():
     rng = random.Random(3)
     seen = {print_term(ranterm(SIG_FG_AB, 128, rng)) for _ in range(50)}
     assert len(seen) > 1
-
-
-def test_ranterm_domain_errors():
-    with pytest.raises(CodecError):
-        ranterm(SIG_FG_AB, 0, random.Random(0))
-    with pytest.raises(CodecError):
-        ranterm(Signature(("X",), (), ()), 8, random.Random(0))
 
 
 def test_information_floor_from_exact_counts():

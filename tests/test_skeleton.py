@@ -10,10 +10,7 @@ from termcodec import (
     bitpars2term,
     code2term,
     inj_code2term,
-    nat2nats,
     nat2pars,
-    nats2nat,
-    pars2nat,
     parse_term,
     print_term,
     term2bitpars,
@@ -21,58 +18,15 @@ from termcodec import (
     term2inj_code,
 )
 
-from conftest import SIG_FG_AB, random_terms
-
-PS_18 = [0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 1, 1, 1, 0, 1, 0, 1, 1]
-PS_2012 = [0, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 1, 0, 1, 1, 1]
-
-
-def test_bitpars_worked_example():
-    t = parse_term("f(g(a,X),X,42)")
-    ps, atoms = term2bitpars(t)
-    assert ps == PS_18
-    assert atoms == ["f", "g", "a", "X", "X", 42]
-    assert bitpars2term(ps, atoms) == t
+from conftest import SIG_FG_AB, random_terms, subterms
 
 
 def test_bitpars_leaf_and_flat_compound():
-    assert term2bitpars(Const("a")) == ([0, 1], ["a"])
-    assert term2bitpars(Var("X")) == ([0, 1], ["X"])
-    assert bitpars2term([0, 1], ["X"]) == Var("X")
     assert bitpars2term([0, 1], [42]) == Const(42)
     assert term2bitpars(parse_term("f(a,b)")) == (
         [0, 0, 1, 0, 1, 0, 1, 1],
         ["f", "a", "b"],
     )
-
-
-def test_bitpars_decode_errors():
-    ps_fab = [0, 0, 1, 0, 1, 0, 1, 1]
-    with pytest.raises(CodecError, match="functor and at least one argument"):
-        bitpars2term([0, 0, 1, 1], ["a"])
-    with pytest.raises(CodecError, match="1 atom"):
-        bitpars2term([0, 1], ["a", "b"])
-    with pytest.raises(CodecError, match="1 atom"):
-        bitpars2term([0, 1], [])
-    with pytest.raises(CodecError, match="more leaves"):
-        bitpars2term(ps_fab, ["f", "a"])
-    with pytest.raises(CodecError, match="atoms were given"):
-        bitpars2term(ps_fab, ["f", "a", "b", "c"])
-    with pytest.raises(CodecError, match="functor slot"):
-        bitpars2term(ps_fab, ["X", "a", "b"])
-    with pytest.raises(CodecError, match="functor slot"):
-        bitpars2term(ps_fab, [7, "a", "b"])
-    with pytest.raises(CodecError, match="functor slot"):
-        # first member of the outer group is itself a group
-        bitpars2term([0, 0] + ps_fab + [1, 0, 1, 1], ["f", "a", "b", "c"])
-    with pytest.raises(CodecError, match="open group"):
-        bitpars2term([0, 0, 1], ["a"])
-    with pytest.raises(CodecError, match="not 0 or 1"):
-        bitpars2term([0, 2, 1], ["a"])
-    with pytest.raises(CodecError, match="is not a variable"):
-        bitpars2term([0, 1], ["not a name"])
-    with pytest.raises(CodecError, match="negative"):
-        bitpars2term([0, 1], [-3])
 
 
 @pytest.mark.parametrize(
@@ -88,91 +42,6 @@ def test_bitpars_decode_error_messages(ps, atoms, message):
     with pytest.raises(CodecError) as info:
         bitpars2term(ps, atoms)
     assert str(info.value) == f"bitpars2term: {message}"
-
-
-def test_inj_code_worked_example():
-    t = parse_term("f(a,g(X,Y),g(Y,X))")
-    code, atoms = term2inj_code(t)
-    assert code == 131364115
-    assert atoms == ["f", "a", "g", "X", "Y", "g", "Y", "X"]
-    assert inj_code2term(code, atoms) == t
-
-
-def test_inj_code_leaf():
-    assert term2inj_code(Const("a")) == (5, ["a"])
-    assert inj_code2term(5, ["a"]) == Const("a")
-
-
-def test_inj_code_rejects_unbalanced_digits():
-    with pytest.raises(CodecError):
-        inj_code2term(7, ["a"])
-    with pytest.raises(CodecError):
-        inj_code2term(0, [])
-
-
-def test_nats_worked_example():
-    assert nat2nats(2012) == [7, 7, 2]
-    assert nats2nat([7, 7, 2]) == 2012
-
-
-def test_nats_small_values():
-    assert nat2nats(0) == []
-    assert nats2nat([]) == 0
-    assert nat2nats(1) == [0]
-    assert nats2nat([0]) == 1
-
-
-def test_nats_domain_errors():
-    with pytest.raises(CodecError):
-        nat2nats(-1)
-    with pytest.raises(CodecError):
-        nats2nat([1, -2])
-
-
-def test_pars_worked_example():
-    assert nat2pars(2012) == PS_2012
-    assert pars2nat(PS_2012) == 2012
-
-
-def test_pars_small_values():
-    assert nat2pars(0) == [0, 1]
-    assert nat2pars(1) == [0, 0, 1, 1]
-    assert pars2nat([0, 1]) == 0
-    assert pars2nat([0, 0, 1, 1]) == 1
-
-
-def test_pars_domain_errors():
-    with pytest.raises(CodecError, match="empty"):
-        pars2nat([])
-    with pytest.raises(CodecError, match="open with 0"):
-        pars2nat([1, 0])
-    with pytest.raises(CodecError, match="never closed"):
-        pars2nat([0, 0, 1])
-    with pytest.raises(CodecError, match="trailing"):
-        pars2nat([0, 1, 0, 1])
-    with pytest.raises(CodecError, match="not 0 or 1"):
-        pars2nat([0, 2, 1])
-    with pytest.raises(CodecError):
-        nat2pars(-1)
-
-
-def test_term_code_worked_example():
-    t = parse_term("f(a,g(X,Y),g(Y,X))")
-    code, atoms = term2code(t)
-    assert code == 786632
-    assert atoms == ["f", "a", "g", "X", "Y", "g", "Y", "X"]
-    assert code2term(code, atoms) == t
-
-
-def test_term_code_leaf():
-    assert term2code(Const("a")) == (0, ["a"])
-    assert code2term(0, ["a"]) == Const("a")
-
-
-def test_term_code_rejects_non_term_skeletons():
-    # nat2pars(1) is a single-child group, outside the term image
-    with pytest.raises(CodecError):
-        code2term(1, ["a"])
 
 
 @pytest.mark.parametrize(
@@ -228,17 +97,6 @@ def test_structure_code_injective_on_small_trees():
     assert len(pairs) == len(trees)
 
 
-def leaf_nodes(t):
-    work, leaves = [t], []
-    while work:
-        node = work.pop()
-        if isinstance(node, Compound):
-            work.extend(node.args)
-        else:
-            leaves.append(node)
-    return leaves
-
-
 def test_bitpars_decode_shares_equal_leaves():
     t = parse_term("f(g(a,X),X,42,h(a,42,Y,X))")
     for decoded in (
@@ -247,11 +105,8 @@ def test_bitpars_decode_shares_equal_leaves():
         inj_code2term(*term2inj_code(t)),
     ):
         assert decoded == t
-        ids = {}
-        for leaf in leaf_nodes(decoded):
-            ids.setdefault(leaf, set()).add(id(leaf))
-        assert len(ids) == 4  # a, X, 42 and Y
-        assert all(len(s) == 1 for s in ids.values())
+        leaves = [x for x in subterms(decoded) if not isinstance(x, Compound)]
+        assert len(set(leaves)) == len({id(x) for x in leaves}) == 4  # a, X, 42 and Y, one object each
 
 
 def test_bitpars_decode_keeps_true_and_1_apart():

@@ -41,6 +41,7 @@ def test_equality_is_field_wise_within_one_class():
     assert T != Compound("h", T.args)
     assert SIG == Signature(vars=("X",), consts=("a",), funs=(("f", 2),))
     assert SIG != Signature(("X",), ("a",))
+    assert SIG != (SIG.vars, SIG.consts, SIG.funs)  # a plain tuple of its fields
 
 
 @pytest.mark.parametrize("value", VALUES, ids=repr)
