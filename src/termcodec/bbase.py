@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from .errors import CodecError, check_iterable, check_min
 
+__all__ = ["from_bbase", "nat2string", "string2nat", "to_bbase"]
+
 _A = ord("a")
 _Z = ord("z")
 ALPHABET_BASE = _Z - _A + 1

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["CodecError", "ParseError", "SignatureError"]
+
 
 class CodecError(ValueError):
     """An input outside the domain of a codec operation."""

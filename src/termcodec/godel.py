@@ -16,7 +16,6 @@ table's bound from it and builds only the compounds above them.
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
 
 from .errors import CodecError, check_min
@@ -24,6 +23,8 @@ from .terms import (
     Compound, Const, Signature, Term, Var, _bitpars, _gc_paused, _leaf, validate_signature,
 )
 from .tuples import _merge, _split
+
+__all__ = ["nat2term", "ranterm", "term2nat"]
 
 TABLE_SLOTS = 1 << 10  # argument slots that the compounds of one node table hold in all
 CACHED_SIGNATURES = 32  # signatures whose index and node table stay cached, least recent dropped first
@@ -163,7 +164,7 @@ def nat2term(sig: Signature, n: int) -> Term:
     return nodes[0]
 
 
-def ranterm(sig: Signature, bits: int, rng: random.Random) -> Term:
+def ranterm(sig: Signature, bits: int, rng) -> Term:
     """Decode a code drawn uniformly from [0, 2^bits).
 
     The draw is uniform over codes, not over term shapes. Deterministic for
@@ -173,4 +174,7 @@ def ranterm(sig: Signature, bits: int, rng: random.Random) -> Term:
     _table(sig)
     if sig.lf == 0:
         raise CodecError("ranterm: signature declares no function symbols")
-    return nat2term(sig, rng.getrandbits(bits))
+    getrandbits = getattr(rng, "getrandbits", None)
+    if not callable(getrandbits):
+        raise CodecError(f"ranterm: rng must have a getrandbits method (got {rng!r})")
+    return nat2term(sig, getrandbits(bits))

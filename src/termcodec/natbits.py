@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from .errors import check_min
 
+__all__ = ["cons", "decons"]
+
 
 def cons(x: int, y: int) -> int:
     """Fuse two naturals into one positive natural: 2^x * (2y + 1)."""

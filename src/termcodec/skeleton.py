@@ -25,6 +25,11 @@ from .errors import CodecError, check_iterable, check_min
 from .terms import Atom, Compound, Const, Term, Var, _bitpars, _gc_paused, _leaf
 from .tuples import _merge, _split
 
+__all__ = [
+    "bitpars2term", "code2term", "inj_code2term", "nat2nats", "nat2pars",
+    "nats2nat", "pars2nat", "term2bitpars", "term2code", "term2inj_code",
+]
+
 
 def _functor_name(t: Term) -> str:
     if isinstance(t, Const) and isinstance(t.symbol, str):

@@ -13,10 +13,16 @@ variable name denote the same variable.
 
 from __future__ import annotations
 
+import os
 import re
 from functools import wraps
 
 from .errors import CodecError, ParseError, SignatureError
+
+__all__ = [
+    "Compound", "Const", "Signature", "Term", "Var",
+    "load_signature", "parse_signature", "parse_term", "print_term", "validate_signature",
+]
 
 
 class _Fields:
@@ -119,6 +125,8 @@ _set_compound_args = Compound.args.__set__
 Term = Var | Const | Compound
 Atom = str | int  # what a leaf holds: a variable name, a symbol or an integer
 
+# The two name rules of term text; each rule, less its \Z, is the token of
+# _TOKEN and the "expected" part of the invalid-name messages.
 VAR_NAME = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
 SYMBOL_NAME = re.compile(r"[a-z][a-z0-9_]*\Z")
 MAX_ARITY = 65_536  # a larger declared arity would let one small code build huge terms
@@ -152,7 +160,7 @@ def _leaf_atom(op: str, t: Term) -> Atom:
 
 # One token per match; the last alternative takes any other non-space
 # character, which is never a valid token.
-_TOKEN = re.compile(r"[A-Z][A-Za-z0-9_]*|[a-z][a-z0-9_]*|[0-9]+|[(),]|\S")
+_TOKEN = re.compile(rf"{VAR_NAME.pattern[:-2]}|{SYMBOL_NAME.pattern[:-2]}|[0-9]+|[(),]|\S")
 _TOKEN_STARTS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789(),")
 
 
@@ -349,22 +357,23 @@ def validate_signature(sig: Signature) -> None:
         raise SignatureError(
             "signature must declare at least one variable or constant"
         )
-    for v in sig.vars:
-        if not isinstance(v, str) or not VAR_NAME.match(v):
-            raise SignatureError(f"invalid variable name {v!r} (expected [A-Z][A-Za-z0-9_]*)")
-    if len(set(sig.vars)) != len(sig.vars):
-        raise SignatureError("duplicate variable names")
-    for c in sig.consts:
-        if not isinstance(c, str) or not SYMBOL_NAME.match(c):
-            raise SignatureError(f"invalid constant name {c!r} (expected [a-z][a-z0-9_]*)")
-    if len(set(sig.consts)) != len(sig.consts):
-        raise SignatureError("duplicate constant names")
+    leaves = (sig.vars, "variable", VAR_NAME), (sig.consts, "constant", SYMBOL_NAME)
+    for names, kind, rule in leaves:
+        for name in names:
+            if not isinstance(name, str) or not rule.match(name):
+                raise SignatureError(
+                    f"invalid {kind} name {name!r} (expected {rule.pattern[:-2]})"
+                )
+        if len(set(names)) != len(names):
+            raise SignatureError(f"duplicate {kind} names")
     for entry in sig.funs:
         if not (isinstance(entry, tuple) and len(entry) == 2):
             raise SignatureError(f"invalid functor entry {entry!r}")
         name, arity = entry
         if not isinstance(name, str) or not SYMBOL_NAME.match(name):
-            raise SignatureError(f"invalid functor name {name!r} (expected [a-z][a-z0-9_]*)")
+            raise SignatureError(
+                f"invalid functor name {name!r} (expected {SYMBOL_NAME.pattern[:-2]})"
+            )
         if not isinstance(arity, int) or arity < 1:
             raise SignatureError(f"functor {name} has arity {arity}; arity must be >= 1")
         if arity > MAX_ARITY:
@@ -378,47 +387,47 @@ def parse_signature(text: str) -> Signature:
     line, '#' comments, order significant. Repeated lines extend a section."""
     if not isinstance(text, str):
         raise SignatureError(f"parse_signature: text must be a string (got {text!r})")
-    vars_: list[str] = []
-    consts: list[str] = []
-    funs: list[tuple[str, int]] = []
+    # Signature's fields in order; a key outside them is an unknown section
+    sections: dict[str, list] = {"vars": [], "consts": [], "funs": []}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, sep, rest = line.partition(":")
         key = key.strip()
-        if not sep or key not in ("vars", "consts", "funs"):
+        if not sep or key not in sections:
             raise SignatureError(
                 f"line {lineno}: expected 'vars:', 'consts:' or 'funs:' (got {raw.strip()!r})"
             )
-        tokens = rest.split()
-        if key == "vars":
-            vars_.extend(tokens)
-        elif key == "consts":
-            consts.extend(tokens)
-        else:
-            for tok in tokens:
-                name, sep, arity = tok.partition("/")
-                if not sep or not (arity.isascii() and arity.isdigit()):
-                    raise SignatureError(
-                        f"line {lineno}: functor {tok!r} must be written name/arity"
-                    )
-                digits = arity.lstrip("0") or "0"
-                # bound before int(), which refuses a digit string past the interpreter's limit
-                if len(digits) > len(str(MAX_ARITY)):
-                    raise SignatureError(
-                        f"functor {name} has arity {digits}; arity must be <= {MAX_ARITY}"
-                    )
-                funs.append((name, int(digits)))
-    sig = Signature(tuple(vars_), tuple(consts), tuple(funs))
+        if key != "funs":
+            sections[key].extend(rest.split())
+            continue
+        for tok in rest.split():
+            name, sep, arity = tok.partition("/")
+            if not sep or not (arity.isascii() and arity.isdigit()):
+                raise SignatureError(f"line {lineno}: functor {tok!r} must be written name/arity")
+            digits = arity.lstrip("0") or "0"
+            # bound before int(), which refuses a digit string past the interpreter's limit
+            if len(digits) > len(str(MAX_ARITY)):
+                raise SignatureError(
+                    f"functor {name} has arity {digits}; arity must be <= {MAX_ARITY}"
+                )
+            sections["funs"].append((name, int(digits)))
+    sig = Signature(*map(tuple, sections.values()))
     validate_signature(sig)
     return sig
 
 
-def load_signature(path: str) -> Signature:
+def load_signature(path: str | bytes | os.PathLike) -> Signature:
     """Read and parse a UTF-8 signature file, less a leading byte-order mark;
     a byte that is not UTF-8 is a SignatureError naming the file and the
-    byte's offset in the file."""
+    byte's offset in the file. path is a file name, never a descriptor."""
+    try:
+        path = os.fspath(path)
+    except TypeError:  # an int would be opened, read and closed as a descriptor
+        raise SignatureError(
+            f"load_signature: path must be a string or path (got {path!r})"
+        ) from None
     with open(path, "rb") as fh:
         data = fh.read()
     try:

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from .errors import CodecError, check_iterable, check_min
 
+__all__ = ["from_pair", "from_tuple", "k_deflate", "k_inflate", "to_pair", "to_tuple"]
+
 # Built by doubling, which keeps the import cost to tens of microseconds:
 # each step appends a copy of every entry so far with the next bit of b set.
 # Entries are ints, not pairs: 256 tuples would be tracked by the cyclic GC

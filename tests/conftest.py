@@ -51,14 +51,14 @@ def subterms(t):
             work += reversed(node.args)
 
 
-def loaded_by_cli_import(names) -> list[str]:
+def loaded_by_import(module: str, names) -> list[str]:
     """Which of names a fresh interpreter without site has loaded once it
-    imports the CLI from src: a footprint counted in modules, not seconds."""
+    imports module from src: a footprint counted in modules, not seconds."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
-        "import termcodec.cli\n"
+        f"import {module}\n"
         f"for name in {tuple(names)!r}:\n"
         "    if name in sys.modules:\n"
         "        print(name)\n"

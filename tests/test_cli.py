@@ -1,4 +1,6 @@
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -80,6 +82,26 @@ OUTPUTS = [
 def test_subcommand_output(capsys, sig_file, argv, stdout):
     argv = [sig_file if a == "SIGFILE" else a for a in argv]
     assert run(capsys, *argv) == (0, stdout, "")
+
+
+def test_readme_examples(capsys, monkeypatch, tmp_path):
+    """Each `$ termcodec ...` line of README, run from a directory whose
+    sig.txt is README's signature block, prints the lines under it (up to a
+    blank or `$` line); the quick start's commented values hold too."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sig_block = re.search(r"^```\n(# tiny example signature.*?)^```", readme, re.S | re.M)[1]
+    (tmp_path / "sig.txt").write_text(sig_block)
+    monkeypatch.chdir(tmp_path)
+    transcripts = re.findall(r"^\$ termcodec (.*)\n((?:(?!\$ |```).+\n)*)", readme, re.M)
+    assert len(transcripts) == 12
+    for command, stdout in transcripts:
+        assert run(capsys, *shlex.split(command)) == (0, stdout, ""), command
+    quick_start = re.search(r"^```python\n(.*?)^```", readme, re.S | re.M)[1]
+    namespace = {}
+    exec(quick_start, namespace)
+    commented = re.findall(r"^(.*?)\s+# (\d+)\b", quick_start, re.M)
+    assert [int(value) for _, value in commented] == [17439, 53, 7073802]
+    assert [eval(code.split(" = ")[-1], namespace) for code, _ in commented] == [17439, 53, 7073802]
 
 
 def test_output_table_runs_every_subcommand_in_order():

@@ -161,6 +161,8 @@ def test_int_subclasses_count_as_integers():
         (bitpars2term, ([0, Index(1)], ["a"]), "bitpars2term: skeleton symbol Index(1) is not 0 or 1"),
         (string2nat, (5,), "string2nat: argument must be a string (got 5)"),
         (parse_term, (None,), "parse_term: text must be a string (got None)"),
+        (ranterm, (SIG_FG_AB, 8, None), "ranterm: rng must have a getrandbits method (got None)"),
+        (ranterm, (SIG_FG_AB, 8, 7), "ranterm: rng must have a getrandbits method (got 7)"),
         *[(string2nat, (word,), f"string2nat: character {word[i]!r} at index {i} is outside 'a'..'z'")
           for word, i in [("Hello", 0), ("he llo", 2), ("h3llo", 1), ("hé", 1), ("a!", 1)]],
         (from_tuple, ([],), "from_tuple: tuple must have at least one member"),
@@ -217,6 +219,8 @@ def test_iterables_are_listed_once():
          "parse_signature: text must be a string (got b'vars: X')"),
         pytest.param(load_signature, (NOT_UTF8_SIG,), f"{NOT_UTF8_SIG}: invalid UTF-8 at byte offset 7 (0xff)",
                      id="load_signature-not-utf8"),
+        # an int is not opened as a file descriptor, which open() would read and close
+        (load_signature, (3,), "load_signature: path must be a string or path (got 3)"),
     ],
 )
 def test_signature_messages(function, args, message):

@@ -29,7 +29,7 @@ from termcodec import (
 )
 from termcodec.terms import _gc_paused
 
-from conftest import SIG_FG_AB, loaded_by_cli_import
+from conftest import SIG_FG_AB, loaded_by_import
 
 TERM = parse_term("f(g(a,X),X,42)")
 PS, ATOMS = term2bitpars(TERM)
@@ -126,4 +126,4 @@ def test_a_paused_builder_keeps_its_name_and_keywords():
 
 def test_cli_import_loads_no_gc():
     """gc is imported by the first build, not with the package."""
-    assert loaded_by_cli_import(("gc",)) == []
+    assert loaded_by_import("termcodec.cli", ("gc",)) == []

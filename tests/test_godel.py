@@ -20,7 +20,7 @@ from termcodec import (
 )
 from termcodec.godel import CACHED_SIGNATURES, TABLE_SLOTS, _index, _nodes
 
-from conftest import SIG_FG_A, SIG_FG_AB, SIG_H3, SIG_IMP, plain, ref, subterms
+from conftest import SIG_FG_A, SIG_FG_AB, SIG_H3, SIG_IMP, loaded_by_import, plain, ref, subterms
 
 
 def test_deep_unary_chain():
@@ -198,6 +198,13 @@ def test_ranterm_draws_distinct_terms():
     rng = random.Random(3)
     seen = {print_term(ranterm(SIG_FG_AB, 128, rng)) for _ in range(50)}
     assert len(seen) > 1
+
+
+def test_package_import_loads_no_random():
+    """ranterm takes any rng with getrandbits, so only the CLI, which seeds
+    one for random-term and stats, imports random."""
+    assert loaded_by_import("termcodec", ("random",)) == []
+    assert loaded_by_import("termcodec.cli", ("random",)) == ["random"]
 
 
 def test_information_floor_from_exact_counts():

@@ -12,7 +12,7 @@ import pytest
 
 from termcodec import Compound, Const, Signature, Var, parse_term
 
-from conftest import loaded_by_cli_import
+from conftest import loaded_by_import
 
 T = parse_term("f(X,g(a,7))")
 SIG = Signature(("X",), ("a",), (("f", 2),))
@@ -142,4 +142,4 @@ def test_wrong_arguments_are_a_type_error(make):
 
 
 def test_cli_import_loads_no_dataclasses():
-    assert loaded_by_cli_import(("dataclasses", "inspect", "ast", "dis", "tokenize")) == []
+    assert loaded_by_import("termcodec.cli", ("dataclasses", "inspect", "ast", "dis", "tokenize")) == []

@@ -1,3 +1,4 @@
+import os
 import sys
 import time
 
@@ -241,6 +242,17 @@ def test_load_signature(tmp_path):
     assert load_signature(str(path)) == Signature(
         ("X", "Y"), ("a",), (("f", 2), ("g", 1))
     )
+
+
+def test_load_signature_leaves_a_descriptor_open(tmp_path):
+    path = tmp_path / "x.sig"
+    path.write_text("vars: X\n")
+    with open(path, "rb") as fh:
+        with pytest.raises(SignatureError) as info:
+            load_signature(fh.fileno())
+        assert str(info.value) == f"load_signature: path must be a string or path (got {fh.fileno()})"
+        assert fh.read() == b"vars: X\n"  # neither closed nor read
+    assert load_signature(path) == load_signature(os.fsencode(path)) == Signature(("X",))
 
 
 def test_load_signature_drops_a_byte_order_mark():
