@@ -6,6 +6,7 @@ argument that is not iterable reads "<op>: <what> must be iterable (got
 decoder's own message, and a signature that is not one raises
 SignatureError."""
 
+import os
 import random
 from fractions import Fraction
 
@@ -161,6 +162,11 @@ def test_int_subclasses_count_as_integers():
         (bitpars2term, ([0, Index(1)], ["a"]), "bitpars2term: skeleton symbol Index(1) is not 0 or 1"),
         (string2nat, (5,), "string2nat: argument must be a string (got 5)"),
         (parse_term, (None,), "parse_term: text must be a string (got None)"),
+        # chunks of split text that are not valid tokens: aB is two, the others unknown characters
+        (parse_term, ("f(aB)",), "parse error at position 3: expected ',' or ')', found 'B'"),
+        (parse_term, ("f(Z9é)",), "parse error at position 4: unexpected character 'é'"),
+        (parse_term, ("f(a,\u0661)",), "parse error at position 4: unexpected character '\u0661'"),
+        (parse_term, ("f(a)$",), "parse error at position 4: unexpected character '$'"),
         (ranterm, (SIG_FG_AB, 8, None), "ranterm: rng must have a getrandbits method (got None)"),
         (ranterm, (SIG_FG_AB, 8, 7), "ranterm: rng must have a getrandbits method (got 7)"),
         *[(string2nat, (word,), f"string2nat: character {word[i]!r} at index {i} is outside 'a'..'z'")
@@ -219,6 +225,9 @@ def test_iterables_are_listed_once():
          "parse_signature: text must be a string (got b'vars: X')"),
         pytest.param(load_signature, (NOT_UTF8_SIG,), f"{NOT_UTF8_SIG}: invalid UTF-8 at byte offset 7 (0xff)",
                      id="load_signature-not-utf8"),
+        # a bytes path names the file as its str path does, not as b'...'
+        pytest.param(load_signature, (os.fsencode(NOT_UTF8_SIG),),
+                     f"{NOT_UTF8_SIG}: invalid UTF-8 at byte offset 7 (0xff)", id="load_signature-not-utf8-bytes"),
         # an int is not opened as a file descriptor, which open() would read and close
         (load_signature, (3,), "load_signature: path must be a string or path (got 3)"),
     ],

@@ -37,6 +37,16 @@ def test_deep_unary_chain():
     assert term2nat(sig, nat2term(sig, depth)) == depth
 
 
+@pytest.mark.parametrize("levels,chars,bits", [
+    (10, 51, 3_071), (15, 76, 98_303), (20, 101, 3_145_727), (22, 111, 12_582_911),
+])
+def test_right_comb_code_doubles_with_each_level(levels, chars, bits):
+    "README's combs: f(a,f(a,...f(a,a)...)) gets 3 * 2^levels - 1 bits, so not 0.53 bit/char."
+    text = "f(a," * levels + "a" + ")" * levels
+    assert len(text) == chars
+    assert term2nat(SIG_FG_AB, parse_term(text)).bit_length() == bits
+
+
 def test_signature_without_functors_is_finite():
     sig = Signature(("X",), ("a", "b"), ())
     assert [nat2term(sig, n) for n in range(3)] == [Var("X"), Const("a"), Const("b")]

@@ -138,6 +138,15 @@ def balanced_term(rng, depth):
     return Compound(rng.choice("fgh"), tuple(balanced_term(rng, depth - 1) for _ in range(k)))
 
 
+def test_unary_chain_code_doubles_but_injective_code_stays_linear():
+    "README's chain: g(g(...g(a)...)) 22 deep, 67 characters."
+    text = "g(" * 22 + "a" + ")" * 22
+    assert len(text) == 67
+    t = parse_term(text)
+    assert term2code(t)[0].bit_length() == 12_582_908
+    assert term2inj_code(t)[0].bit_length() == 133
+
+
 def test_term_code_roundtrip_at_10_pow_5_bits():
     t = balanced_term(random.Random(7), 8)
     text = print_term(t)

@@ -20,9 +20,9 @@ from termcodec import (
     print_term,
     validate_signature,
 )
-from termcodec.terms import MAX_ARITY
+from termcodec.terms import _TOKEN, MAX_ARITY, _tokens
 
-from conftest import BOM_SIG
+from conftest import BOM_SIG, SIG_FG_AB, random_terms
 
 
 def test_parse_leaves():
@@ -113,6 +113,21 @@ def test_parse_errors_carry_position(bad, position):
         parse_term(bad)
     assert exc.value.position == position
     assert f"position {position}" in str(exc.value)
+
+
+def test_split_skips_the_whitespace_that_the_token_regex_skips():
+    """_tokens relies on str.split and _TOKEN skipping the same code points;
+    this checks every code point, 2^16 at a time, on the running Python."""
+    for start in range(0, sys.maxunicode + 1, 1 << 16):
+        block = "".join(map(chr, range(start, start + (1 << 16))))
+        assert "".join(block.split()) == "".join(_TOKEN.findall(block)), hex(start)
+
+
+def test_tokens_are_the_token_regex_matches():
+    printed = [print_term(t) for t in random_terms(SIG_FG_AB, 300, seed=3, max_bits=400)]
+    spaced = [text.replace(",", " ,\t").replace("(", "\u2003( ") for text in printed]
+    for text in [*printed, *spaced, "f(aB)", "f(Z9é)", "f(a,\u0661)", "f(a)$", "_x", ""]:
+        assert _tokens(text) == _TOKEN.findall(text), text
 
 
 def test_parse_rejects_unknown_characters():
